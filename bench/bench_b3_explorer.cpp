@@ -6,18 +6,18 @@
 //
 // Every registry-backed run is described as a verify::JobSpec and
 // executed through verify::instantiate()/execute() — the bench never
-// builds ExploreOptions for them by hand.  Two baselines are exempt by
-// design: the retired hand-written machines (tests/legacy/) and the
-// faithful pre-PR-4 explorer replica below are not registry protocols,
-// so a JobSpec cannot name them; they stay raw worlds.
+// builds ExploreOptions for them by hand.  One baseline is exempt by
+// design: the retired hand-written machines (tests/legacy/) are not a
+// registry protocol, so a JobSpec cannot name them; they stay a raw
+// world.
 //
 // Modes:
 //   (default)        google-benchmark suite (all BM_* below)
 //   --json <path>    write a machine-readable BENCH_B3.json report:
 //                    states/sec and peak state counts for the reduced
-//                    (symmetry + sleep sets), unreduced, pre-sized and
-//                    legacy-hot-path explorers on a symmetric reference
-//                    instance, plus reduction_factor, hotpath_speedup,
+//                    (symmetry + sleep sets), unreduced and pre-sized
+//                    explorers on a symmetric reference instance, plus
+//                    reduction_factor, presize_speedup,
 //                    ir_overhead (the ffgen-GENERATED machines
 //                    machine_factory selects vs the retired hand-written
 //                    machines, gated at <= 0.02), interpreter_overhead
@@ -37,14 +37,11 @@
 #include <memory>
 #include <numeric>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "legacy/machines.hpp"
 #include "proto/pool.hpp"
 #include "proto/registry.hpp"
-#include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -127,44 +124,13 @@ void BM_ExploreStagedTwoObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreStagedTwoObjects)->Unit(benchmark::kMillisecond);
 
-// --- Parallel explorer speedup --------------------------------------------
-//
-// staged f=1, t=2 at n=3 reaches ~1.37M distinct states — large enough
-// that the parallel explorer's thread sweep exposes real scaling, small
-// enough for a full-space traversal per iteration.  Compare
-// BM_ExploreMillionSequential against BM_ExploreMillionParallel/N for the
-// wall-clock speedup; the `states` counter confirms both traversals cover
-// the identical reachable set.
+// staged f=1, t=2 at n=3 reaches ~1.37M distinct states — a full-space
+// traversal per iteration on the hot-path reference instance.
 
 void BM_ExploreMillionSequential(benchmark::State& state) {
   run_explore(state, staged_spec(1, 2, 3));
 }
 BENCHMARK(BM_ExploreMillionSequential)->Unit(benchmark::kMillisecond);
-
-void BM_ExploreMillionParallel(benchmark::State& state) {
-  verify::JobSpec spec = staged_spec(1, 2, 3);
-  spec.engine = verify::Engine::kParallel;
-  spec.threads = static_cast<std::uint32_t>(state.range(0));
-  run_explore(state, spec);
-}
-BENCHMARK(BM_ExploreMillionParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ParallelExploreStagedSmall(benchmark::State& state) {
-  // Same configuration as BM_ExploreStaged t=2 — overhead comparison on a
-  // small graph, where locking cost dominates and parallelism cannot win.
-  verify::JobSpec spec = staged_spec(1, 2, 2);
-  spec.engine = verify::Engine::kParallel;
-  spec.threads = static_cast<std::uint32_t>(state.range(0));
-  run_explore(state, spec);
-}
-BENCHMARK(BM_ParallelExploreStagedSmall)->Arg(1)->Arg(4);
 
 void BM_SimWorldStepApply(benchmark::State& state) {
   // Cost of one simulated step (clone-free path): drive a solo staged
@@ -195,94 +161,6 @@ BENCHMARK(BM_SimWorldClone);
 
 // --- JSON report mode ------------------------------------------------------
 
-/// The pre-PR-4 explorer hot path, kept faithful as an in-file baseline
-/// so hotpath_speedup stays measurable after the real explorer moved on:
-/// per-child full world copy + apply, a full world.encode() per
-/// generated child (and again per frame pop), the pre-PR dual-SplitMix64
-/// fingerprint fold, node-based unordered containers for the visited set
-/// and the on-path cycle map, per-frame choice vectors — no flat table,
-/// no incremental encoding, no in-place stepping, no arenas, no
-/// reductions.  It runs the same census, terminal checks and back-edge
-/// cycle detection the old explore() ran.
-sched::detail::Fingerprint legacy_fingerprint(
-    const std::vector<std::uint64_t>& encoded) {
-  sched::detail::Fingerprint fp{0x243f6a8885a308d3ULL,
-                                0x13198a2e03707344ULL};
-  for (const std::uint64_t w : encoded) {
-    fp.a = util::mix64(fp.a ^ w);
-    fp.b = util::mix64(fp.b + w + 0xa5a5a5a5a5a5a5a5ULL);
-  }
-  return fp;
-}
-
-std::uint64_t legacy_explore_count(const sched::SimWorld& initial) {
-  struct Frame {
-    sched::SimWorld world;
-    std::vector<sched::Choice> choices;
-    std::size_t next = 0;
-  };
-  sched::ExploreOptions options;
-  options.stop_at_first_violation = false;
-  std::uint64_t violations = 0;
-  std::unordered_set<sched::detail::Fingerprint,
-                     sched::detail::FingerprintHash>
-      visited;
-  std::unordered_map<sched::detail::Fingerprint, std::uint64_t,
-                     sched::detail::FingerprintHash>
-      on_path;
-  std::vector<Frame> stack;
-  std::vector<sched::Choice> path;
-  const auto root_fp = legacy_fingerprint(initial.encode());
-  visited.insert(root_fp);
-  on_path.emplace(root_fp, 0);
-  stack.push_back(Frame{initial, initial.enabled(), 0});
-  std::uint64_t states = 1;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next >= frame.choices.size()) {
-      on_path.erase(legacy_fingerprint(frame.world.encode()));
-      stack.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    const sched::Choice choice = frame.choices[frame.next++];
-    sched::SimWorld child = frame.world;
-    child.apply(choice);
-    const auto fp = legacy_fingerprint(child.encode());
-    path.push_back(choice);
-    if (const auto it = on_path.find(fp); it != on_path.end()) {
-      // Back-edge: nontermination if a process steps in the segment.
-      for (std::size_t i = it->second; i < path.size(); ++i) {
-        if (path[i].pid != sched::kAdversaryPid) {
-          ++violations;
-          break;
-        }
-      }
-      path.pop_back();
-      continue;
-    }
-    if (visited.contains(fp)) {
-      path.pop_back();
-      continue;
-    }
-    visited.insert(fp);
-    ++states;
-    if (child.terminal()) {
-      std::string detail;
-      if (sched::detail::check_terminal(child, options, detail)) {
-        ++violations;
-      }
-      path.pop_back();
-      continue;
-    }
-    auto choices = child.enabled();
-    on_path.emplace(fp, path.size());
-    stack.push_back(Frame{std::move(child), std::move(choices), 0});
-  }
-  benchmark::DoNotOptimize(violations);
-  return states;
-}
-
 /// Symmetric reference job: staged consensus (pid-oblivious) at n
 /// processes with EQUAL inputs, one object, overriding faults.  Equal
 /// inputs matter: with distinct inputs every process block stays
@@ -292,6 +170,9 @@ std::uint64_t legacy_explore_count(const sched::SimWorld& initial) {
 verify::JobSpec symmetric_reference(std::uint32_t t, std::uint32_t n) {
   verify::JobSpec spec = staged_spec(1, t, n);
   spec.equal_inputs = true;
+  // Uncapped: the full report's unreduced side (~10.1M states) is past
+  // JobSpec's default cap, and a truncated side shrinks the factor.
+  spec.max_states = 0;
   return spec;
 }
 
@@ -381,12 +262,10 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(reduced.report.states_visited)
           : 0.0;
 
-  // Hot-path instance (reductions OFF throughout): new engine without
-  // and with the expected_states pre-sizing hint, against the faithful
-  // pre-PR baseline.
+  // Hot-path instance (reductions OFF throughout): the engine without
+  // and with the expected_states pre-sizing hint.
   const verify::JobSpec hot_spec = hotpath_reference();
-  const verify::Instance hot_instance = verify::instantiate(hot_spec);
-  const TimedExplore hot = timed_execute(hot_instance);
+  const TimedExplore hot = timed_execute(verify::instantiate(hot_spec));
   // The reserve()/pre-sizing satellite, isolated: same unreduced search
   // with the fingerprint table and DFS containers sized up front
   // (expected_states is an exec hint — same job fingerprint).
@@ -395,14 +274,6 @@ int write_report(const std::string& path, bool smoke) {
   const verify::Instance presized_instance =
       verify::instantiate(presized_spec);
   const TimedExplore presized = timed_execute(presized_instance);
-
-  const auto legacy_start = std::chrono::steady_clock::now();
-  const std::uint64_t legacy_states =
-      legacy_explore_count(hot_instance.world());
-  const double legacy_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    legacy_start)
-          .count();
 
   const auto rate = [](std::uint64_t states, double seconds) {
     return seconds > 0 ? static_cast<double>(states) / seconds : 0.0;
@@ -668,12 +539,6 @@ int write_report(const std::string& path, bool smoke) {
   // median lambda's empty-sentinel 2.0 (which would pass it).
   const double pool_batch_speedup =
       pool_ratios.empty() ? 0.0 : median(pool_ratios);
-  const double legacy_rate = rate(legacy_states, legacy_seconds);
-  const double hotpath_speedup =
-      legacy_rate > 0
-          ? rate(presized.report.states_visited, presized.seconds) /
-                legacy_rate
-          : 0.0;
   const double presize_speedup =
       hot.seconds > 0 && presized.seconds > 0
           ? rate(presized.report.states_visited, presized.seconds) /
@@ -707,7 +572,6 @@ int write_report(const std::string& path, bool smoke) {
                hot.seconds, hot.report.max_depth);
   emit_section(w, "hotpath_presized", presized.report.states_visited,
                presized.seconds, presized.report.max_depth);
-  emit_section(w, "legacy_baseline", legacy_states, legacy_seconds, 0);
   emit_section(w, "generated_machines", generated_best.report.states_visited,
                generated_best.seconds, generated_best.report.max_depth);
   emit_section(w, "interpreted_machines",
@@ -716,7 +580,6 @@ int write_report(const std::string& path, bool smoke) {
   emit_section(w, "handwritten_machines",
                handwritten_best.report.states_visited,
                handwritten_best.seconds, handwritten_best.report.max_depth);
-  w.kv("hotpath_speedup", hotpath_speedup);
   w.kv("presize_speedup", presize_speedup);
   // Fractional slowdown of what machine_factory actually selects — the
   // ffgen-GENERATED machine — vs the hand-written machines (0.05 = 5%
@@ -753,8 +616,7 @@ int write_report(const std::string& path, bool smoke) {
   w.end_object();
   // Sanity invariants the gate can assert without re-deriving them.
   w.kv("census_states_match",
-       hot.report.states_visited == legacy_states &&
-           presized.report.states_visited == hot.report.states_visited);
+       presized.report.states_visited == hot.report.states_visited);
   w.end_object();
 
   std::ofstream out(path);
@@ -764,7 +626,6 @@ int write_report(const std::string& path, bool smoke) {
   }
   out << w.str() << "\n";
   std::cout << "B3: reduction_factor=" << reduction_factor
-            << " hotpath_speedup=" << hotpath_speedup
             << " ir_overhead=" << ir_overhead
             << " interpreter_overhead=" << interpreter_overhead
             << " codegen_census_match=" << codegen_census_match

@@ -19,6 +19,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "proto/analysis/analysis.hpp"
 #include "proto/registry.hpp"
@@ -61,14 +63,14 @@ void print_usage() {
       "  --n         processes                                 (default 2)\n"
       "  --objects   object count for fp1                      (default f+1)\n"
       "  --state-cap explorer state limit                      (default 4e6)\n"
-      "  --engine    dfs | parallel | frontier | fuzz | stress (default dfs;\n"
-      "              --threads > 0 without --engine implies parallel).\n"
-      "              frontier = batched owner-computes BFS wavefront engine\n"
+      "  --engine    dfs | frontier | fuzz | stress          (default dfs)\n"
+      "              frontier = batched owner-computes BFS wavefront engine,\n"
+      "              the parallel one\n"
       "              (DESIGN.md §3i; sleep sets are a DFS notion — the job\n"
       "              layer rejects the combination, this CLI disables them\n"
       "              for frontier runs and says so)\n"
-      "  --threads   worker threads for parallel/frontier;\n"
-      "              0 = one per hardware thread                (default 0)\n"
+      "  --threads   frontier only (needs --engine frontier): worker\n"
+      "              threads, 0 = one per hardware thread       (default 0)\n"
       "  --spill-dir frontier only: directory for sorted census spill runs\n"
       "              (witnesses are reconstructed back through the runs)\n"
       "  --mem-limit-mb  frontier only: in-memory watermark in MiB over the\n"
@@ -240,14 +242,16 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   spec.immunity_pruning = !cli.has("no-immunity-pruning");
   spec.max_states = cli.get_uint("state-cap", 4'000'000);
 
-  spec.threads = static_cast<std::uint32_t>(cli.get_uint("threads", 0));
-  // --threads > 0 without an explicit --engine keeps its historical
-  // meaning: the work-stealing parallel DFS.  --fuzz is the historical
-  // spelling of --engine fuzz.
-  std::string engine =
-      cli.get_string("engine", spec.threads > 0 ? "parallel" : "dfs");
+  // --fuzz is the historical spelling of --engine fuzz.
+  std::string engine = cli.get_string("engine", "dfs");
   if (cli.has("fuzz")) engine = "fuzz";
   spec.engine = verify::engine_from_string(engine);
+  if (cli.has("threads") && spec.engine != verify::Engine::kFrontier) {
+    throw std::invalid_argument(
+        "--threads sets the frontier engine's workers; add --engine "
+        "frontier (the " + engine + " engine is single-threaded)");
+  }
+  spec.threads = static_cast<std::uint32_t>(cli.get_uint("threads", 0));
   if (spec.engine == verify::Engine::kFrontier && spec.sleep_sets) {
     std::cout << "note: sleep sets are a DFS-path notion; disabled for the "
                  "frontier (BFS) engine\n";
@@ -271,7 +275,6 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   // Historical behavior: a complete, violation-free exhaustive run also
   // reports the machine-checked wait-freedom bound.
   spec.wait_free_bound = spec.engine == verify::Engine::kDfs ||
-                         spec.engine == verify::Engine::kParallel ||
                          spec.engine == verify::Engine::kFrontier;
   return spec;
 }
@@ -411,8 +414,9 @@ int main(int argc, char** argv) {
     spec = spec_from_cli(cli);
     spec.validate();
   } catch (const std::invalid_argument& err) {
-    std::cerr << err.what() << "\n\n";
-    print_protocols();
+    std::cerr << err.what()
+              << "\n(--help lists the flags, --list-protocols the "
+                 "protocols)\n";
     return 2;
   }
 
@@ -440,8 +444,7 @@ int main(int argc, char** argv) {
                                             : std::to_string(spec.t))
             << " n=" << spec.processes << " engine="
             << verify::to_string(spec.engine);
-  if (spec.engine == verify::Engine::kParallel ||
-      spec.engine == verify::Engine::kFrontier) {
+  if (spec.engine == verify::Engine::kFrontier) {
     std::cout << '('
               << (spec.threads > 0 ? std::to_string(spec.threads) + " threads"
                                    : std::string("hw threads"))
@@ -449,7 +452,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n\n";
 
-  const verify::RunOutcome outcome = verify::run(spec, cache ? &*cache : nullptr);
+  verify::RunOutcome outcome;
+  try {
+    outcome = verify::run(spec, cache ? &*cache : nullptr);
+  } catch (const std::out_of_range& err) {
+    // A corrupted value drove the protocol to an object or register it
+    // does not have: the model has no verdict for that run.
+    std::cerr << "error: " << err.what() << '\n';
+    return 2;
+  }
   if (cache) {
     std::cout << "cache          : "
               << (outcome.cache_hit

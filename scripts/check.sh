@@ -12,7 +12,7 @@
 #   3. default build  → the `tier2-fuzz` label (wall-clock-bounded smoke
 #      fuzz campaign per seed protocol);
 #   4. FF_SANITIZE=thread build → the multi-threaded suites (label `tsan`,
-#      i.e. the parallel-explorer differential harness and the real-thread
+#      i.e. the frontier-explorer differential harness and the real-thread
 #      stress suites, the crashed-and-restarted worker threads of the
 #      recoverable-consensus campaign included) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites
@@ -36,8 +36,9 @@
 #      immunity pruning leaves the census bit-identical with a prune
 #      factor >= 1, the pool batch sweep is >= 2x scalar delivery, the
 #      B5 crash growth/latency bounds hold, and the B6 frontier engine
-#      is >= 2x parallel_explore in states/sec with a bit-equal census
-#      in memory and under forced spilling;
+#      keeps a census bit-equal to the DFS census in memory and under
+#      forced spilling (its states/sec over the DFS's is reported, not
+#      gated);
 #  10. verify-cache (label `verify-cache`: the canonical job layer —
 #      JobSpec round-trips, strict validation, and the persistent
 #      census cache's hit/miss/soundness matrix), then
@@ -63,7 +64,7 @@ ctest --test-dir build -L tier2-fuzz --output-on-failure -j "$JOBS"
 echo "== [4/10] FF_SANITIZE=thread build · ctest -L tsan =="
 cmake -B build-tsan -S . -DFF_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target test_parallel_explorer test_determinism test_concurrency \
+  --target test_frontier_explorer test_determinism test_concurrency \
            test_recoverable_consensus
 ctest --test-dir build-tsan -L tsan --output-on-failure -j "$JOBS"
 

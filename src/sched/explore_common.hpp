@@ -1,9 +1,9 @@
-// Internals shared by the sequential (explorer.cpp) and parallel
-// (parallel_explorer.cpp) state-space explorers: the 128-bit state
+// Internals shared by the sequential (explorer.cpp) and frontier
+// (frontier_explorer.cpp) state-space explorers: the 128-bit state
 // fingerprint and the terminal-state property check.
 //
 // Both explorers memoize on fingerprints rather than full encoded states.
-// The soundness argument (see DESIGN.md §"Parallel exploration"): two
+// The soundness argument (see DESIGN.md §3i): two
 // distinct states collide with probability ~ |states|² / 2^128, so a
 // completed exploration is a proof up to that negligible error, and —
 // crucially — the argument is unchanged by sharding, because a sharded

@@ -665,7 +665,7 @@ struct Ctx {
   std::vector<WorkerState>* wlocals = nullptr;
 
   // Checker-internal coordination state — the engine runs outside the
-  // traced object layer by construction, like parallel_explorer's.
+  // traced object layer by construction.
   // ff-lint: allow(R1): checker-internal state-census counter
   std::atomic<std::uint64_t> states{0};
   // ff-lint: allow(R1): wave-quiescence counter of the checker itself
@@ -685,6 +685,9 @@ struct Ctx {
 
   std::mutex violation_mu;
   std::optional<BestViolation> best;
+  /// First out-of-range object/register access (guarded by
+  /// violation_mu); thrown from the calling thread after the join.
+  std::string index_error;
 
   [[nodiscard]] std::uint32_t shard_of(const Fingerprint& fp) const {
     return static_cast<std::uint32_t>(fp.a) & shard_mask;
@@ -994,11 +997,21 @@ void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
     const std::uint8_t slot = slot_for(pid);
 
     // A corrupted delivered value can drive an indexed protocol to an
-    // out-of-range object/register (SimWorld's .at() throws there; a
-    // worker thread cannot, so the run aborts as incomplete instead).
-    if ((op.type == OpType::kCas && op.object >= ctx.num_objects) ||
+    // out-of-range object/register.  SimWorld's .at() throws there; a
+    // worker thread cannot, so it records the access and stops the run,
+    // and frontier_explore rethrows after the join.
+    const bool is_cas = op.type == OpType::kCas;
+    if ((is_cas && op.object >= ctx.num_objects) ||
         ((op.type == OpType::kRegRead || op.type == OpType::kRegWrite) &&
          op.object >= ctx.num_registers)) {
+      const std::lock_guard<std::mutex> lock(ctx.violation_mu);
+      if (ctx.index_error.empty()) {
+        ctx.index_error =
+            std::string("frontier_explore: a process accesses ") +
+            (is_cas ? "object " : "register ") + std::to_string(op.object) +
+            " of " +
+            std::to_string(is_cas ? ctx.num_objects : ctx.num_registers);
+      }
       ctx.aborted.store(true, std::memory_order_relaxed);
       return;
     }
@@ -1273,7 +1286,10 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
     return existing;
   }
 
-  // Novel state.
+  // Novel state.  A stopped run admits nothing more: its census is
+  // incomplete anyway, and each admission past the state cap would
+  // inflate states_visited (cap overshoot stays below one per worker).
+  if (ctx.aborted.load(std::memory_order_relaxed)) return FlatFpMap::kNoValue;
   const bool terminal = item_terminal(ctx, item);
   const std::uint32_t seq = sh.next_seq;
   if ((std::uint64_t{seq} << ctx.shard_bits) > kIdSpace) {
@@ -1513,7 +1529,7 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 /// Replays the chain from the root, re-resolving each recorded choice's
 /// pid through its canonical slot (under symmetry a later walk may hold
 /// a different orbit representative than the discoverer did; the slot
-/// is orbit-invariant — same scheme as parallel_explore).
+/// is orbit-invariant).
 [[nodiscard]] std::vector<Choice> path_to(const Ctx& ctx,
                                           const Fingerprint& fp,
                                           SimWorld* world_out) {
@@ -1551,7 +1567,7 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 }
 
 // ---------------------------------------------------------------------------
-// Nontermination scan (post-join; same algorithm as parallel_explore).
+// Nontermination scan (post-join Tarjan pass over the recorded edges).
 // ---------------------------------------------------------------------------
 
 struct CycleScan {
@@ -1999,6 +2015,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
     worker_main(ctx, 0);
     for (auto& t : threads) t.join();
   }
+  if (!ctx.index_error.empty()) throw std::out_of_range(ctx.index_error);
 
   const bool aborted = ctx.aborted.load(std::memory_order_relaxed);
   result.states_visited = ctx.states.load(std::memory_order_relaxed);

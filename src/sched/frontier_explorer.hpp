@@ -1,8 +1,8 @@
 // Batched owner-computes frontier explorer (DESIGN.md §3i).
 //
-// A breadth-first wavefront engine over the same state graph the
-// sequential DFS (sched/explorer.hpp) and the work-stealing parallel DFS
-// (sched/parallel_explorer.hpp) explore, built around three ideas:
+// The parallel engine: a breadth-first wavefront over the same state
+// graph the sequential DFS (sched/explorer.hpp) explores, built around
+// three ideas:
 //
 //   * OWNER-COMPUTES SHARDING.  The canonical-fingerprint space is
 //     hash-partitioned into shards, each owned by exactly one worker.  A
@@ -34,8 +34,8 @@
 // (states_visited, terminal_states, agreed_values, violation counts per
 // terminal kind) is BIT-EQUAL to the sequential explorer's on every
 // input, with symmetry reduction composing through the same
-// sched/reduce.hpp canonical fingerprints.  Differences by design,
-// mirroring parallel_explore:
+// sched/reduce.hpp canonical fingerprints.  Differences from the DFS by
+// design:
 //
 //   * Sleep-set POR is REJECTED: ExploreOptions::sleep_sets = true makes
 //     frontier_explore throw std::invalid_argument (it used to be
@@ -46,14 +46,21 @@
 //     states, the visited-state census is identical anyway (see
 //     find_shortest_violation, which makes the same argument).
 //     verify::JobSpec::validate() enforces the same rule up front.
-//   * kNontermination counts process edges inside cyclic SCCs of the
-//     explored graph, not DFS back-edges; compare presence, not counts.
+//   * Nontermination is found by a post-join Tarjan pass over the
+//     recorded edges (no worker owns a root-to-state path, so DFS
+//     back-edge detection does not apply): kNontermination counts
+//     process edges inside cyclic SCCs of the explored graph, not DFS
+//     back-edges; compare presence, not counts.
 //   * max_depth is the BFS radius (longest SHORTEST path from the
 //     root), not the longest DFS path.
 //   * Which violation is reported first differs from DFS order; the
 //     frontier picks the lexicographically least (depth, fingerprint)
 //     violating state, so ITS choice is deterministic across thread and
 //     shard counts.  Witnesses strictly replay either way.
+//   * A corrupted delivered value that drives an indexed protocol to an
+//     out-of-range object or register stops the workers, and
+//     frontier_explore throws std::out_of_range from the calling thread,
+//     as the DFS does through SimWorld's checked accessors.
 #pragma once
 
 #include <cstdint>

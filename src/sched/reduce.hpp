@@ -1,6 +1,6 @@
 // State-space reduction engine: process-symmetry canonicalization and a
 // sleep-set partial-order independence relation, shared by the sequential
-// explorer, the parallel explorer, the BFS witness minimizer and the
+// explorer, the frontier explorer, the BFS witness minimizer and the
 // fuzzer's novelty signal.  DESIGN.md §3d carries the soundness argument;
 // the short version:
 //

@@ -1,9 +1,32 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
 namespace ff::util {
+
+namespace {
+
+/// Parses the whole of `text` as a T; anything else — non-numeric text,
+/// trailing characters, a sign the type cannot hold, overflow — throws
+/// std::invalid_argument naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + name + "=" + text + ": out of range");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--" + name + "=" + text + ": expected " +
+                                expected);
+  }
+  return value;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -46,20 +69,20 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(name, *v, "a whole number");
 }
 
 std::uint64_t Cli::get_uint(const std::string& name,
                             std::uint64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoull(v->c_str(), nullptr, 10);
+  return parse_number<std::uint64_t>(name, *v, "a non-negative whole number");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_number<double>(name, *v, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

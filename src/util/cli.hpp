@@ -2,7 +2,9 @@
 //
 // Supports --name=value, --name value, and bare --flag booleans.  Unknown
 // flags are collected so callers can decide whether to reject them
-// (google-benchmark binaries pass their own flags through).
+// (google-benchmark binaries pass their own flags through).  The numeric
+// getters are strict: a value that is not entirely a number of the
+// requested type throws std::invalid_argument naming the flag.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,15 @@
 // Shared differential-testing helper: runs the sequential and the
-// parallel explorer over the same SimWorld and asserts their results are
+// frontier explorer over the same SimWorld and asserts their results are
 // equivalent.
 //
 // Quantities that are properties of the reachable state GRAPH must match
 // exactly: states_visited, terminal_states, per-terminal violation counts
-// (inconsistent / invalid / stalled), the agreed-value set, and
-// completeness.  kNontermination counts are traversal-defined in both
-// explorers (DFS back-edges vs. SCC-internal process edges), so only
-// presence/absence is compared.  Witnesses are validated semantically by
-// replaying them — see expect_witness_reproduces().
+// (inconsistent / invalid / stalled), the agreed-value set, the A2
+// immunity tallies, and completeness.  kNontermination counts are
+// traversal-defined in both explorers (DFS back-edges vs. SCC-internal
+// process edges), so only presence/absence is compared.  Witnesses are
+// validated semantically by replaying them — see
+// expect_witness_reproduces().
 #pragma once
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@
 
 #include "legacy/machines.hpp"
 #include "sched/explorer.hpp"
-#include "sched/parallel_explorer.hpp"
+#include "sched/frontier_explorer.hpp"
 #include "sched/sim_world.hpp"
 
 namespace ff::testutil {
@@ -216,37 +217,69 @@ inline void expect_witness_reproduces(const sched::SimWorld& initial,
   }
 }
 
-/// Full-space differential check: the parallel run must agree with the
-/// sequential oracle on every graph-derived quantity, and its witness (if
-/// any) must replay to a real violation.
-inline void expect_parallel_matches_sequential(
-    const GridCase& gc, const sched::ParallelExploreOptions& popts) {
-  const sched::SimWorld world = make_world(gc);
-  const std::string label =
-      gc.name + " threads=" + std::to_string(popts.num_threads);
+/// Frontier options for `threads` workers over `shards` shards (0 = the
+/// engine's default).  Sleep sets are forced off: the frontier rejects
+/// that DFS-path notion, and it prunes transitions, never states, so the
+/// census is the same either way — the sequential oracle keeps whatever
+/// the caller chose.
+[[nodiscard]] inline sched::FrontierExploreOptions frontier_options(
+    const sched::ExploreOptions& explore, std::uint32_t threads,
+    std::uint32_t shards = 0) {
+  sched::FrontierExploreOptions options;
+  options.explore = explore;
+  options.explore.sleep_sets = false;
+  options.num_threads = threads;
+  options.shard_count = shards;
+  return options;
+}
 
-  const auto seq = sched::explore(world, popts.explore);
-  const auto par = sched::parallel_explore(world, popts);
+/// Runs the frontier engine on `world`, which `factory` built.
+[[nodiscard]] inline sched::ExploreResult frontier_run(
+    const sched::SimWorld& world, const sched::MachineFactory& factory,
+    const sched::ExploreOptions& explore, std::uint32_t threads,
+    std::uint32_t shards = 0) {
+  return sched::frontier_explore(world.config(), factory, world.inputs(),
+                                 frontier_options(explore, threads, shards))
+      .explore;
+}
 
-  EXPECT_TRUE(seq.complete) << label;
-  EXPECT_TRUE(par.complete) << label;
-  EXPECT_EQ(seq.states_visited, par.states_visited) << label;
-  EXPECT_EQ(seq.terminal_states, par.terminal_states) << label;
-  EXPECT_EQ(seq.agreed_values, par.agreed_values) << label;
+/// Graph-derived quantities must match the oracle exactly;
+/// kNontermination counts are traversal-defined, so only presence is
+/// compared.
+inline void expect_census_matches(const sched::ExploreResult& seq,
+                                  const sched::ExploreResult& other,
+                                  const std::string& label) {
   using sched::ViolationKind;
+  EXPECT_TRUE(seq.complete) << label;
+  EXPECT_TRUE(other.complete) << label;
+  EXPECT_EQ(seq.states_visited, other.states_visited) << label;
+  EXPECT_EQ(seq.terminal_states, other.terminal_states) << label;
+  EXPECT_EQ(seq.agreed_values, other.agreed_values) << label;
   for (const ViolationKind kind :
        {ViolationKind::kInconsistent, ViolationKind::kInvalid,
         ViolationKind::kStalled}) {
-    EXPECT_EQ(seq.violations_of(kind), par.violations_of(kind))
+    EXPECT_EQ(seq.violations_of(kind), other.violations_of(kind))
         << label << " kind=" << sched::to_string(kind);
   }
   EXPECT_EQ(seq.violations_of(ViolationKind::kNontermination) > 0,
-            par.violations_of(ViolationKind::kNontermination) > 0)
+            other.violations_of(ViolationKind::kNontermination) > 0)
       << label;
-  EXPECT_EQ(seq.violation.has_value(), par.violation.has_value()) << label;
-  if (par.violation) {
-    expect_witness_reproduces(world, *par.violation, label);
-  }
+  EXPECT_EQ(seq.violation.has_value(), other.violation.has_value()) << label;
+  EXPECT_EQ(seq.immunity_checks, other.immunity_checks) << label;
+  EXPECT_EQ(seq.immunity_skips, other.immunity_skips) << label;
+}
+
+/// Full-space differential check: the frontier run must agree with the
+/// sequential oracle on every graph-derived quantity, and its witness
+/// (if any) must replay to a real violation.
+inline void expect_frontier_matches_sequential(
+    const sched::SimWorld& world, const sched::MachineFactory& factory,
+    const sched::ExploreOptions& explore, std::uint32_t threads,
+    std::uint32_t shards, const std::string& label) {
+  const auto seq = sched::explore(world, explore);
+  const auto fr = frontier_run(world, factory, explore, threads, shards);
+  expect_census_matches(seq, fr, label);
+  if (fr.violation) expect_witness_reproduces(world, *fr.violation, label);
 }
 
 }  // namespace ff::testutil

@@ -10,7 +10,7 @@
 //   * for every registry protocol × fault budget × crash budget grid
 //     point, the full census (states, violations, witnesses, agreed
 //     values) from the generated machine equals the interpreter's, under
-//     the sequential AND the parallel explorer, reductions on and off;
+//     the sequential AND the frontier explorer, reductions on and off;
 //   * a step-level lockstep property test replays 10k+ seeded random
 //     schedules simultaneously on a generated StatePool and on an
 //     IrMachine oracle vector, asserting equal encoded states after
@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "explore_diff.hpp"
 #include "model/tolerance.hpp"
 #include "proto/fingerprint.hpp"
 #include "proto/genapi.hpp"
@@ -39,7 +40,6 @@
 #include "proto/registry.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/sim_world.hpp"
 #include "util/rng.hpp"
 
@@ -214,7 +214,7 @@ TEST(Codegen, FullCensusMatchesOracleSequential) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Full-census equality under the parallel explorer.
+// 2. Full-census equality under the parallel (frontier) explorer.
 // ---------------------------------------------------------------------------
 
 TEST(Codegen, FullCensusMatchesOracleParallel) {
@@ -227,13 +227,13 @@ TEST(Codegen, FullCensusMatchesOracleParallel) {
     const SimWorld gen_world = make_world(*generated, cc);
     const SimWorld oracle_world = make_world(*oracle, cc);
     for (const bool reduce : {true, false}) {
-      sched::ParallelExploreOptions options;
-      options.explore.stop_at_first_violation = false;
-      options.explore.symmetry_reduction = reduce;
-      options.explore.sleep_sets = reduce;
-      options.num_threads = 4;
-      const auto oracle_result = sched::parallel_explore(oracle_world, options);
-      const auto gen_result = sched::parallel_explore(gen_world, options);
+      sched::ExploreOptions options;
+      options.stop_at_first_violation = false;
+      options.symmetry_reduction = reduce;
+      const auto oracle_result =
+          testutil::frontier_run(oracle_world, *oracle, options, 4);
+      const auto gen_result =
+          testutil::frontier_run(gen_world, *generated, options, 4);
       const std::string label =
           cc.label + (reduce ? "/par-reduced" : "/par-unreduced");
       EXPECT_EQ(oracle_result.states_visited, gen_result.states_visited)

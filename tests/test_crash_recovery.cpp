@@ -7,7 +7,7 @@
 //      non-recoverable original program for the recoverable variants
 //      (identical semantics when crashes cannot happen).
 //   2. The crash-branch census is identical across the sequential,
-//      parallel and reduced explorers (sleep sets preserve every count;
+//      frontier and reduced explorers (sleep sets preserve every count;
 //      symmetry preserves every orbit-invariant property).
 //   3. Crash witnesses strictly replay and shrink to 1-minimal
 //      schedules via shrink_witness — and the minimal recoverable-cas
@@ -184,18 +184,11 @@ TEST(CrashCensus, IdenticalAcrossSequentialParallelAndReducedExplorers) {
             << label << " kind=" << sched::to_string(kind);
       }
 
-      // The parallel explorer must agree with its sequential twin on
-      // every graph-derived quantity, reductions on and off.
+      // The parallel (frontier) explorer must agree with the sequential
+      // one on every graph-derived quantity, reductions on and off.
       for (const ExploreOptions& options : {unreduced, reduced}) {
-        sched::ParallelExploreOptions popts;
-        popts.explore = options;
-        popts.num_threads = 4;
-        const auto seq = sched::explore(world, options);
-        const auto par = sched::parallel_explore(world, popts);
-        expect_same_census(seq, par, label + " [parallel]");
-        if (par.violation) {
-          testutil::expect_witness_reproduces(world, *par.violation, label);
-        }
+        testutil::expect_frontier_matches_sequential(
+            world, *factory, options, 4, 0, label + " [frontier]");
       }
     }
   }

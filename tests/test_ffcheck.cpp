@@ -10,7 +10,7 @@
 //   * the A2 pruning differential — for every simulable registry
 //     protocol × fault kind × crash budget, the census with
 //     proved-immune overriding branches skipped must be bit-identical
-//     to the brute-force census, under the sequential AND the parallel
+//     to the brute-force census, under the sequential AND the frontier
 //     explorer.  A proved immunity must also actually FIRE (tas);
 //   * report shape — the --json rendering is deterministic and carries
 //     the per-analysis verdicts and certificates tools consume.
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "explore_diff.hpp"
 #include "model/fault_kind.hpp"
 #include "proto/analysis/analysis.hpp"
 #include "proto/ir.hpp"
@@ -30,7 +31,6 @@
 #include "proto/registry.hpp"
 #include "sched/explorer.hpp"
 #include "sched/facts.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/sim_world.hpp"
 #include "util/json.hpp"
 
@@ -411,10 +411,7 @@ Census run_census(const sched::MachineFactory& factory,
   opts.stop_at_first_violation = false;
   sched::ExploreResult result;
   if (parallel) {
-    sched::ParallelExploreOptions options;
-    options.explore = opts;
-    options.num_threads = 2;
-    result = sched::parallel_explore(world, options);
+    result = testutil::frontier_run(world, factory, opts, 2);
   } else {
     result = sched::explore(world, opts);
   }

@@ -1,15 +1,20 @@
 // Differential-testing harness for the batched owner-computes frontier
-// explorer (sched/frontier_explorer.hpp): the frontier census must be
-// BIT-EQUAL to the sequential oracle's on every cell of two grids — the
-// legacy-machine differential grid (the scalar StepMachine arena path)
-// and the simulable-registry × fault-kind × crash-budget grid (the
-// IR/generated batch path) — with symmetry reduction on and off, under
-// forced spilling, and at any shard count.  Witnesses must strictly
-// replay, including witnesses reconstructed out of spilled runs.
+// explorer (sched/frontier_explorer.hpp), the parallel engine: the
+// frontier census must be BIT-EQUAL to the sequential oracle's on every
+// cell of two grids — the legacy-machine differential grid (the scalar
+// StepMachine arena path) and the simulable-registry × fault-kind ×
+// crash-budget grid (the IR/generated batch path) — with symmetry
+// reduction on and off, under forced spilling, and at any worker and
+// shard count down to one of each.  Witnesses must strictly replay,
+// including witnesses reconstructed out of spilled runs.  Also covers
+// ExploreOptions::max_states truncation (a capped run must be incomplete
+// and must not fabricate a violation on a correct configuration) and the
+// loud failure on an out-of-range object/register index.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -31,10 +36,15 @@ using sched::FrontierExploreOptions;
 using sched::FrontierExploreResult;
 using sched::ViolationKind;
 using testutil::differential_grid;
+using testutil::expect_census_matches;
+using testutil::expect_frontier_matches_sequential;
 using testutil::expect_witness_reproduces;
+using testutil::frontier_options;
+using testutil::frontier_run;
 using testutil::full_space_options;
 using testutil::GridCase;
 using testutil::iota_inputs;
+using testutil::make_world;
 
 /// One cell of the registry grid: a registered protocol under a fault
 /// kind and a crash budget, described as the canonical verify::JobSpec
@@ -74,73 +84,14 @@ std::vector<RegistryCase> registry_grid() {
   return grid;
 }
 
-FrontierExploreOptions fopts(const ExploreOptions& explore,
-                             std::uint32_t threads, std::uint32_t shards = 0) {
-  FrontierExploreOptions options;
-  options.explore = explore;
-  // Sleep sets are a DFS-path notion; frontier_explore throws on true.
-  // The sequential oracle keeps whatever the caller chose — the census
-  // is unchanged either way (sleep sets prune transitions, not states).
-  options.explore.sleep_sets = false;
-  options.num_threads = threads;
-  options.shard_count = shards;
-  return options;
-}
-
-/// Graph-derived quantities must match the oracle exactly;
-/// kNontermination counts are traversal-defined (DFS back-edges vs
-/// SCC-internal process edges), so only presence is compared.
-void expect_census_matches(const ExploreResult& seq, const ExploreResult& fr,
-                           const std::string& label) {
-  EXPECT_TRUE(seq.complete) << label;
-  EXPECT_TRUE(fr.complete) << label;
-  EXPECT_EQ(seq.states_visited, fr.states_visited) << label;
-  EXPECT_EQ(seq.terminal_states, fr.terminal_states) << label;
-  EXPECT_EQ(seq.agreed_values, fr.agreed_values) << label;
-  for (const ViolationKind kind :
-       {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-        ViolationKind::kStalled}) {
-    EXPECT_EQ(seq.violations_of(kind), fr.violations_of(kind))
-        << label << " kind=" << sched::to_string(kind);
-  }
-  EXPECT_EQ(seq.violations_of(ViolationKind::kNontermination) > 0,
-            fr.violations_of(ViolationKind::kNontermination) > 0)
-      << label;
-  EXPECT_EQ(seq.violation.has_value(), fr.violation.has_value()) << label;
-  EXPECT_EQ(seq.immunity_checks, fr.immunity_checks) << label;
-  EXPECT_EQ(seq.immunity_skips, fr.immunity_skips) << label;
-}
-
-void expect_frontier_matches_sequential(const sched::SimConfig& config,
-                                        const sched::MachineFactory& factory,
-                                        const std::vector<std::uint64_t>& inputs,
-                                        const FrontierExploreOptions& options,
-                                        const std::string& label) {
-  const sched::SimWorld world(config, factory, inputs);
-  const ExploreResult seq = sched::explore(world, options.explore);
-  const FrontierExploreResult fr =
-      frontier_explore(config, factory, inputs, options);
-  expect_census_matches(seq, fr.explore, label);
-  if (fr.explore.violation) {
-    expect_witness_reproduces(world, *fr.explore.violation, label);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Legacy-machine grid: the scalar StepMachine arena path.
 // ---------------------------------------------------------------------------
 
 TEST(FrontierDifferential, LegacyGridTwoThreads) {
   for (const GridCase& gc : differential_grid()) {
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
-    expect_frontier_matches_sequential(config, *gc.factory,
-                                       iota_inputs(gc.n),
-                                       fopts(full_space_options(gc), 2),
+    expect_frontier_matches_sequential(make_world(gc), *gc.factory,
+                                       full_space_options(gc), 2, 0,
                                        gc.name + " threads=2");
   }
 }
@@ -151,16 +102,98 @@ TEST(FrontierDifferential, LegacyGridSymmetryOff) {
     if (i++ % 3 != 0) continue;  // every third cell keeps runtime bounded
     ExploreOptions opts = full_space_options(gc);
     opts.symmetry_reduction = false;
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
-    expect_frontier_matches_sequential(config, *gc.factory,
-                                       iota_inputs(gc.n), fopts(opts, 4),
-                                       gc.name + " sym=off");
+    expect_frontier_matches_sequential(make_world(gc), *gc.factory, opts, 4,
+                                       0, gc.name + " sym=off");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The parallel engine against the sequential oracle at the worker/shard
+// extremes and under stop-at-first.
+// ---------------------------------------------------------------------------
+
+TEST(ParallelDifferential, FullGridTwoThreads) {
+  // Two workers over sixteen shards: more shards than workers, so every
+  // worker owns several and handoffs cross the rings in both directions.
+  for (const GridCase& gc : differential_grid()) {
+    expect_frontier_matches_sequential(make_world(gc), *gc.factory,
+                                       full_space_options(gc), 2, 16,
+                                       gc.name + " threads=2 shards=16");
+  }
+}
+
+TEST(ParallelDifferential, FullGridFourThreads) {
+  for (const GridCase& gc : differential_grid()) {
+    expect_frontier_matches_sequential(make_world(gc), *gc.factory,
+                                       full_space_options(gc), 4, 0,
+                                       gc.name + " threads=4");
+  }
+}
+
+TEST(ParallelDifferential, SingleThreadSingleShardDegenerate) {
+  // One worker owning one shard: no handoff ring ever carries a state,
+  // and the census must still match the oracle.
+  std::size_t i = 0;
+  for (const GridCase& gc : differential_grid()) {
+    if (i++ % 3 != 0) continue;  // every third cell keeps runtime bounded
+    expect_frontier_matches_sequential(make_world(gc), *gc.factory,
+                                       full_space_options(gc), 1, 1,
+                                       gc.name + " threads=1 shards=1");
+  }
+}
+
+TEST(ParallelDifferential, DefaultOptionsStopAtFirstAgreesOnVerdict) {
+  // stop_at_first_violation = true (the default): which violation is
+  // reported first is traversal-dependent, but whether ANY violation
+  // exists is a property of the graph and must agree.
+  std::size_t i = 0;
+  for (const GridCase& gc : differential_grid()) {
+    if (i++ % 2 != 0) continue;
+    const sched::SimWorld world = make_world(gc);
+    ExploreOptions opts;  // defaults: stop at first violation
+    opts.killed_is_violation = gc.kind == FaultKind::kNonresponsive;
+
+    const ExploreResult seq = sched::explore(world, opts);
+    const ExploreResult fr = frontier_run(world, *gc.factory, opts, 2);
+    EXPECT_EQ(seq.violation.has_value(), fr.violation.has_value())
+        << gc.name;
+    EXPECT_EQ(seq.complete, fr.complete) << gc.name;
+    if (fr.violation) {
+      expect_witness_reproduces(world, *fr.violation, gc.name);
+    }
+  }
+}
+
+TEST(ParallelDifferential, NonterminationWitnessRevisitsState) {
+  // §3.4: retry-silent under unboundedly many silent faults livelocks.
+  // On the legacy scalar path the SCC post-pass must find the cycle and
+  // produce a witness whose replay revisits a state with a process step
+  // in the repeated suffix.
+  const GridCase gc{"retry-silent/silent/tinf/n2",
+                    std::make_shared<consensus::RetrySilentFactory>(),
+                    FaultKind::kSilent, kUnbounded, 2};
+  const sched::SimWorld world = make_world(gc);
+  const ExploreResult result =
+      frontier_run(world, *gc.factory, full_space_options(gc), 2, 8);
+  ASSERT_TRUE(result.violation.has_value());
+  EXPECT_EQ(result.violation->kind, ViolationKind::kNontermination);
+  EXPECT_GT(result.violations_of(ViolationKind::kNontermination), 0u);
+  expect_witness_reproduces(world, *result.violation, gc.name);
+}
+
+TEST(ParallelDifferential, TerminalInitialState) {
+  // A zero-process world on the legacy scalar path is terminal at the
+  // root; both explorers handle it without spawning work.
+  const consensus::SingleCasFactory factory;
+  sched::SimConfig config;
+  config.num_objects = 1;
+  const sched::SimWorld world(config, factory, {});
+  const ExploreResult seq = sched::explore(world);
+  const ExploreResult fr = frontier_run(world, factory, ExploreOptions{}, 2);
+  EXPECT_EQ(seq.states_visited, fr.states_visited);
+  EXPECT_EQ(seq.terminal_states, fr.terminal_states);
+  EXPECT_EQ(seq.complete, fr.complete);
+  EXPECT_EQ(seq.violation.has_value(), fr.violation.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -170,6 +203,7 @@ TEST(FrontierDifferential, LegacyGridSymmetryOff) {
 
 TEST(FrontierDifferential, RegistryGridWithCrashBudgets) {
   std::size_t compared = 0;
+  std::size_t threw = 0;
   for (const RegistryCase& rc : registry_grid()) {
     const verify::Instance instance = verify::instantiate(rc.spec);
     ExploreOptions opts;
@@ -177,19 +211,28 @@ TEST(FrontierDifferential, RegistryGridWithCrashBudgets) {
     opts.killed_is_violation = rc.spec.killed_is_violation;
     // A corrupted delivered value can drive an indexed protocol to an
     // out-of-range register (announce-cas under invisible/arbitrary
-    // faults): the sequential oracle throws out_of_range there, so the
-    // cell has no oracle verdict to compare against — skip it.
+    // faults): the sequential oracle throws out_of_range there, and the
+    // frontier must fail the same way instead of returning a verdict.
+    bool oracle_threw = false;
     try {
       (void)sched::explore(instance.world(), opts);
     } catch (const std::out_of_range&) {
+      oracle_threw = true;
+    }
+    if (oracle_threw) {
+      EXPECT_THROW((void)frontier_run(instance.world(), *instance.factory,
+                                      opts, 4),
+                   std::out_of_range)
+          << rc.label;
+      ++threw;
       continue;
     }
-    expect_frontier_matches_sequential(instance.config, *instance.factory,
-                                       instance.inputs, fopts(opts, 4),
-                                       rc.label);
+    expect_frontier_matches_sequential(instance.world(), *instance.factory,
+                                       opts, 4, 0, rc.label);
     ++compared;
   }
-  EXPECT_GE(compared, 80u);  // 8 protocols × 6 kinds × 2 budgets, few skips
+  EXPECT_GE(compared, 80u);  // 8 protocols × 6 kinds × 2 budgets, few throw
+  EXPECT_GT(threw, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,10 +249,10 @@ TEST(FrontierDifferential, ShardCountInvariance) {
   config.t = 1;
   ExploreOptions opts;
   opts.stop_at_first_violation = false;
-  const auto inputs = iota_inputs(3);
+  const sched::SimWorld world(config, *factory, iota_inputs(3));
   for (const std::uint32_t shards : {1u, 2u, 8u}) {
     expect_frontier_matches_sequential(
-        config, *factory, inputs, fopts(opts, 4, shards),
+        world, *factory, opts, 4, shards,
         "staged shards=" + std::to_string(shards));
   }
 }
@@ -231,19 +274,14 @@ TEST(FrontierSpill, ForcedSpillCensusParity) {
   std::size_t i = 0;
   for (const GridCase& gc : differential_grid()) {
     if (i++ % 4 != 0) continue;
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
-    const FrontierExploreOptions options = spill_opts(
-        fopts(full_space_options(gc), 2), "ff_spill_" + std::to_string(i));
-    const FrontierExploreResult spilled =
-        frontier_explore(config, *gc.factory, iota_inputs(gc.n), options);
+    const sched::SimWorld world = make_world(gc);
+    const FrontierExploreOptions options =
+        spill_opts(frontier_options(full_space_options(gc), 2),
+                   "ff_spill_" + std::to_string(i));
+    const FrontierExploreResult spilled = frontier_explore(
+        world.config(), *gc.factory, world.inputs(), options);
     EXPECT_GT(spilled.stats.spill_runs, 0u) << gc.name;
     EXPECT_GT(spilled.stats.spilled_records, 0u) << gc.name;
-    const sched::SimWorld world(config, *gc.factory, iota_inputs(gc.n));
     const ExploreResult seq = sched::explore(world, options.explore);
     expect_census_matches(seq, spilled.explore, gc.name + " spilled");
     if (spilled.explore.violation) {
@@ -266,7 +304,7 @@ TEST(FrontierSpill, SpilledWitnessStrictReplay) {
   ExploreOptions opts;
   opts.stop_at_first_violation = false;
   const FrontierExploreOptions options =
-      spill_opts(fopts(opts, 2), "ff_spill_witness");
+      spill_opts(frontier_options(opts, 2), "ff_spill_witness");
   const FrontierExploreResult fr =
       frontier_explore(config, *factory, iota_inputs(2), options);
   EXPECT_GT(fr.stats.spill_runs, 0u);
@@ -290,9 +328,11 @@ TEST(FrontierExplorer, NonterminationWitnessRevisitsState) {
   ExploreOptions opts;
   opts.stop_at_first_violation = false;
   const FrontierExploreResult fr =
-      frontier_explore(config, *factory, iota_inputs(2), fopts(opts, 2));
+      frontier_explore(config, *factory, iota_inputs(2),
+                       frontier_options(opts, 2));
   ASSERT_TRUE(fr.explore.violation.has_value());
   EXPECT_EQ(fr.explore.violation->kind, ViolationKind::kNontermination);
+  EXPECT_GT(fr.explore.violations_of(ViolationKind::kNontermination), 0u);
   const sched::SimWorld world(config, *factory, iota_inputs(2));
   expect_witness_reproduces(world, *fr.explore.violation, "retry-silent");
 }
@@ -310,7 +350,8 @@ TEST(FrontierExplorer, StatsReflectBatchedStepping) {
   ExploreOptions opts;
   opts.stop_at_first_violation = false;
   const FrontierExploreResult fr =
-      frontier_explore(config, *factory, iota_inputs(3), fopts(opts, 4));
+      frontier_explore(config, *factory, iota_inputs(3),
+                       frontier_options(opts, 4));
   EXPECT_TRUE(fr.explore.complete);
   EXPECT_GT(fr.stats.waves, 0u);
   EXPECT_GT(fr.stats.batch_sweeps, 0u);
@@ -334,7 +375,8 @@ TEST(FrontierExplorer, MaxStatesTruncationIsIncompleteNotWrong) {
   opts.stop_at_first_violation = false;
   opts.max_states = 10;
   const FrontierExploreResult fr =
-      frontier_explore(config, *factory, iota_inputs(3), fopts(opts, 2));
+      frontier_explore(config, *factory, iota_inputs(3),
+                       frontier_options(opts, 2));
   EXPECT_FALSE(fr.explore.complete);
   EXPECT_FALSE(fr.explore.violation.has_value());
 }
@@ -346,13 +388,32 @@ TEST(FrontierExplorer, TerminalInitialState) {
   sched::SimConfig config;
   config.num_objects = factory->objects_used();
   const FrontierExploreResult fr =
-      frontier_explore(config, *factory, {}, fopts(ExploreOptions{}, 2));
+      frontier_explore(config, *factory, {},
+                       frontier_options(ExploreOptions{}, 2));
   const sched::SimWorld world(config, *factory, {});
   const ExploreResult seq = sched::explore(world);
   EXPECT_EQ(seq.states_visited, fr.explore.states_visited);
   EXPECT_EQ(seq.terminal_states, fr.explore.terminal_states);
   EXPECT_EQ(seq.complete, fr.explore.complete);
+  EXPECT_EQ(seq.violation.has_value(), fr.explore.violation.has_value());
   EXPECT_EQ(fr.stats.waves, 0u);
+}
+
+TEST(FrontierExplorer, OutOfRangeIndexThrows) {
+  // announce-cas under arbitrary faults at n = 3: a fabricated CAS
+  // response becomes a register index past the end.  The run has no
+  // verdict, so the engine must throw from the calling thread instead
+  // of returning an incomplete "no violation".
+  verify::JobSpec spec;
+  spec.protocol = "announce-cas";
+  spec.kind = FaultKind::kArbitrary;
+  spec.processes = 3;
+  spec.engine = verify::Engine::kFrontier;
+  spec.sleep_sets = false;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    spec.threads = threads;
+    EXPECT_THROW((void)verify::run(spec), std::out_of_range) << threads;
+  }
 }
 
 TEST(FrontierExplorer, SleepSetsRejected) {
@@ -370,6 +431,50 @@ TEST(FrontierExplorer, SleepSetsRejected) {
   spec.protocol = "single-cas";
   spec.engine = verify::Engine::kFrontier;  // sleep_sets defaults to true
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// ExploreOptions::max_states truncation.
+// ---------------------------------------------------------------------------
+
+// staged f=2, t=2, n=3 is a known-correct configuration whose state space
+// far exceeds the cap used here: a truncated run must come back
+// incomplete and must NOT fabricate a violation.
+TEST(MaxStatesTruncation, ParallelCapIsIncompleteAndFabricatesNothing) {
+  const consensus::StagedFactory factory(2, 2);
+  sched::SimConfig config;
+  config.num_objects = 2;
+  config.kind = FaultKind::kOverriding;
+  config.t = 2;
+  const sched::SimWorld world(config, factory, iota_inputs(3));
+  ExploreOptions options;
+  options.stop_at_first_violation = false;
+  options.max_states = 500;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const ExploreResult result = frontier_run(world, factory, options, threads);
+    EXPECT_FALSE(result.complete) << threads;
+    EXPECT_FALSE(result.violation.has_value()) << threads;
+    EXPECT_EQ(result.violations_found, 0u) << threads;
+    EXPECT_LE(result.states_visited, options.max_states + threads) << threads;
+  }
+}
+
+TEST(MaxStatesTruncation, UncappedMediumWorldIsCompleteAndAgrees) {
+  // staged f=2, t=2 at n=2: the same protocol family as the capped run
+  // above, but small enough (~380k states) to explore exhaustively.
+  const consensus::StagedFactory factory(2, 2);
+  sched::SimConfig config;
+  config.num_objects = 2;
+  config.kind = FaultKind::kOverriding;
+  config.t = 2;
+  const sched::SimWorld world(config, factory, iota_inputs(2));
+  ExploreOptions options;
+  options.stop_at_first_violation = false;
+  const ExploreResult seq = sched::explore(world, options);
+  const ExploreResult fr = frontier_run(world, factory, options, 2);
+  expect_census_matches(seq, fr, "staged f2 t2 n2");
+  EXPECT_EQ(seq.violations_found, 0u);
+  EXPECT_EQ(fr.violations_found, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Soundness tests for the PR-4 state-space reductions (sched/reduce.hpp):
-// symmetry reduction and sleep-set POR, across both explorers.
+// symmetry reduction and sleep-set POR, across the sequential and the
+// frontier explorer.
 //
 // The contracts under test (DESIGN.md §3d):
 //   * Sleep sets prune TRANSITIONS, never states: a por-only pass visits
@@ -27,7 +28,6 @@
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/fuzzer.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/reduce.hpp"
 #include "sched/sim_world.hpp"
 
@@ -104,36 +104,16 @@ TEST(ReductionSoundness, SymmetryPreservesOrbitInvariants) {
   }
 }
 
-// --- Full-grid differential census: parallel explorer ---------------------
+// --- Full-grid differential census: parallel (frontier) explorer ----------
 
 TEST(ReductionSoundness, ParallelReducedMatchesSequentialReduced) {
+  // Symmetry on both sides; sleep sets on the DFS only (the frontier
+  // rejects them, and they never change the state census).
   for (const GridCase& gc : differential_grid()) {
-    const SimWorld world = make_world(gc);
-    const ExploreOptions base = full_space_options(gc);
-    const auto seq = explore(world, with_reductions(base, true, true));
-
-    ParallelExploreOptions popts;
-    popts.explore = with_reductions(base, true, true);
-    popts.num_threads = 2;
-    const auto par = parallel_explore(world, popts);
-    const std::string label = gc.name + "/parallel-reduced";
-
-    EXPECT_EQ(seq.complete, par.complete) << label;
-    EXPECT_EQ(seq.states_visited, par.states_visited) << label;
-    EXPECT_EQ(seq.terminal_states, par.terminal_states) << label;
-    EXPECT_EQ(seq.agreed_values, par.agreed_values) << label;
-    for (const ViolationKind kind :
-         {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-          ViolationKind::kStalled}) {
-      EXPECT_EQ(seq.violations_of(kind), par.violations_of(kind))
-          << label << " kind=" << to_string(kind);
-    }
-    EXPECT_EQ(seq.violations_of(ViolationKind::kNontermination) > 0,
-              par.violations_of(ViolationKind::kNontermination) > 0)
-        << label;
-    if (par.violation) {
-      expect_witness_reproduces(world, *par.violation, label);
-    }
+    testutil::expect_frontier_matches_sequential(
+        make_world(gc), *gc.factory,
+        with_reductions(full_space_options(gc), true, true), 2, 0,
+        gc.name + "/parallel-reduced");
   }
 }
 

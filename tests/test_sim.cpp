@@ -295,6 +295,22 @@ TEST(Explorer, StateCapAborts) {
   EXPECT_LE(result.states_visited, 102u);
 }
 
+TEST(MaxStatesTruncation, SequentialCapIsIncompleteAndFabricatesNothing) {
+  // staged f=2, t=2, n=3 is a known-correct configuration whose state
+  // space far exceeds the cap: a truncated full-space run must come back
+  // incomplete and must NOT fabricate a violation.
+  StagedFactory factory(2, 2);
+  SimWorld world(overriding_config(2, 2), factory, {1, 2, 3});
+  sched::ExploreOptions options;
+  options.stop_at_first_violation = false;
+  options.max_states = 500;
+  const auto result = sched::explore(world, options);
+  EXPECT_FALSE(result.complete);
+  EXPECT_FALSE(result.violation.has_value());
+  EXPECT_EQ(result.violations_found, 0u);
+  EXPECT_LE(result.states_visited, options.max_states + 1);
+}
+
 TEST(RandomWalk, TerminatesAndAgreesOnFaultFreeRun) {
   FPlusOneFactory factory(3);
   SimWorld world(overriding_config(3, 0), factory, {1, 2, 3});

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -258,6 +260,49 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_FALSE(cli.get_bool("b", true));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+}
+
+TEST(Cli, NumbersParseStrictly) {
+  const char* argv[] = {"prog", "--u=18446744073709551615", "--i=-7",
+                        "--d=0.25", "--e=1e3"};
+  const Cli cli(5, argv);
+  EXPECT_EQ(cli.get_uint("u", 0), 18446744073709551615ULL);
+  EXPECT_EQ(cli.get_int("i", 0), -7);
+  EXPECT_DOUBLE_EQ(cli.get_double("d", 0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.get_double("e", 0), 1000.0);
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  // Each value once parsed silently (to 0, to a prefix, or wrapped
+  // around); each must now be rejected with the flag in the message.
+  const auto rejects = [](const std::string& value, auto get) {
+    const std::string arg = "--threads=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Cli cli(2, argv);
+    try {
+      (void)get(cli);
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("--threads"), std::string::npos)
+          << err.what();
+    }
+  };
+  const auto as_uint = [](const Cli& c) { return c.get_uint("threads", 0); };
+  const auto as_int = [](const Cli& c) { return c.get_int("threads", 0); };
+  const auto as_double = [](const Cli& c) {
+    return c.get_double("threads", 0);
+  };
+  for (const char* bad : {"abc", "4x", " 4", "-1", "+4", "-0",
+                          "18446744073709551616", "4.0"}) {
+    rejects(bad, as_uint);
+  }
+  for (const char* bad : {"abc", "-4x", "9223372036854775808",
+                          "-9223372036854775809", "1.5"}) {
+    rejects(bad, as_int);
+  }
+  for (const char* bad : {"abc", "0.5s", "1e999", "."}) {
+    rejects(bad, as_double);
+  }
 }
 
 // --- spin barrier --------------------------------------------------------

@@ -133,11 +133,25 @@ TEST(JobSpec, SemanticEditsChangeTheFingerprint) {
            [] { auto s = tiny_spec(); s.processes = 3; return s; }(),
            [] { auto s = tiny_spec(); s.crash_budget = 1; return s; }(),
            [] { auto s = tiny_spec(); s.symmetry_reduction = false; return s; }(),
-           [] { auto s = tiny_spec(); s.engine = verify::Engine::kParallel; return s; }(),
+           [] { auto s = tiny_spec(); s.engine = verify::Engine::kFuzz; return s; }(),
            [] { auto s = tiny_spec(); s.protocol = "staged"; return s; }(),
        }) {
     EXPECT_NE(fp, verify::job_fingerprint(edit)) << edit.canonical_json();
   }
+}
+
+TEST(JobSpec, SurvivingEngineFingerprintsArePinned) {
+  // The engine enters the fingerprint by name, not by enum value, so
+  // retiring an engine must leave every other engine's keys — and the
+  // caches built on them — untouched.
+  verify::JobSpec dfs = tiny_spec();
+  verify::JobSpec frontier = tiny_spec();
+  frontier.engine = verify::Engine::kFrontier;
+  frontier.sleep_sets = false;
+  EXPECT_EQ(verify::job_fingerprint(dfs).hex(),
+            "98b90416007bd1c67a81a6d86f88f473");
+  EXPECT_EQ(verify::job_fingerprint(frontier).hex(),
+            "dcbff559cb13d30e412fdabf73006fc9");
 }
 
 TEST(JobSpec, ValidationRejectsIllegalCombinations) {
@@ -167,6 +181,24 @@ TEST(JobSpec, ValidationRejectsIllegalCombinations) {
     EXPECT_NO_THROW(spec.validate());
     spec.crash_budget = 1;
     EXPECT_THROW(spec.validate(), std::invalid_argument);
+  }
+  // A document naming a retired engine is rejected, and the error lists
+  // the engines that remain.
+  {
+    std::string json = tiny_spec().canonical_json();
+    const std::string dfs = "\"engine\":\"dfs\"";
+    const auto at = json.find(dfs);
+    ASSERT_NE(at, std::string::npos);
+    json.replace(at, dfs.size(), "\"engine\":\"parallel\"");
+    try {
+      (void)verify::JobSpec::parse(json);
+      ADD_FAILURE() << "the retired engine name \"parallel\" parsed";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(
+          std::string(err.what()).find("dfs | frontier | fuzz | stress"),
+          std::string::npos)
+          << err.what();
+    }
   }
   // Registered but not simulable: resolvable by name, rejected as a job.
   for (const auto& info : proto::ProtocolRegistry::instance().all()) {
@@ -264,10 +296,19 @@ TEST(VerifyCache, CorruptEntryIsAMissNeverACrash) {
   const verify::RunOutcome cold = verify::run(spec, &cache);
   const std::string path = entry_path(cache, spec);
 
-  // Truncated mid-document, garbage, empty, wrong format version.
+  // An entry written when "parallel" was still an engine name: the spec
+  // no longer parses, so the entry must read as unreadable, not crash.
+  std::string retired_engine = slurp(path);
+  const std::string dfs = "\"engine\":\"dfs\"";
+  const auto at = retired_engine.find(dfs);
+  ASSERT_NE(at, std::string::npos);
+  retired_engine.replace(at, dfs.size(), "\"engine\":\"parallel\"");
+
+  // Truncated mid-document, garbage, empty, wrong format version, an
+  // engine that no longer exists.
   for (const std::string& bad :
        {slurp(path).substr(0, 40), std::string("{not json"), std::string(),
-        std::string("{\"ff_cache_version\":999}")}) {
+        std::string("{\"ff_cache_version\":999}"), retired_engine}) {
     dump(path, bad);
     EXPECT_EQ(cache.stats().unreadable, 1u);
     const verify::RunOutcome outcome = verify::run(spec, &cache);
@@ -277,6 +318,11 @@ TEST(VerifyCache, CorruptEntryIsAMissNeverACrash) {
     EXPECT_TRUE(census_equal(outcome.report, cold.report));
     EXPECT_TRUE(verify::run(spec, &cache).cache_hit);
   }
+  // gc() evicts the retired-engine entry like any other unreadable one.
+  dump(path, retired_engine);
+  EXPECT_EQ(cache.gc(), 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().unreadable, 0u);
 }
 
 TEST(VerifyCache, GcEvictsOnlyTheUnreadable) {
@@ -378,22 +424,21 @@ TEST(VerifyCache, DeterministicFuzzIsCacheable) {
 // ---------------------------------------------------------------------------
 
 TEST(VerifyRun, EnginesAgreeOnTheCensusForTheSameJob) {
-  // dfs, parallel and frontier runs of the same JobSpec must produce
-  // census_equal Reports — the job layer's restatement of the
-  // differential suites' core invariant.
+  // dfs and frontier runs (one and four workers) of the same JobSpec
+  // must produce census_equal Reports — the job layer's restatement of
+  // the differential suites' core invariant.
   verify::JobSpec dfs = tiny_spec();
   dfs.protocol = "staged";
   dfs.processes = 3;
-  verify::JobSpec par = dfs;
-  par.engine = verify::Engine::kParallel;
-  par.threads = 4;
-  verify::JobSpec fro = dfs;
-  fro.engine = verify::Engine::kFrontier;
+  verify::JobSpec one = dfs;
+  one.engine = verify::Engine::kFrontier;
+  one.threads = 1;
+  one.sleep_sets = false;
+  verify::JobSpec fro = one;
   fro.threads = 4;
-  fro.sleep_sets = false;
 
   const verify::Report a = verify::run(dfs).report;
-  const verify::Report b = verify::run(par).report;
+  const verify::Report b = verify::run(one).report;
   const verify::Report c = verify::run(fro).report;
   EXPECT_TRUE(census_equal(a, b));
   EXPECT_TRUE(census_equal(a, c));
