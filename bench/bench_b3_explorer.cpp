@@ -24,7 +24,7 @@
 //                    (IrMachine oracle, informational),
 //                    codegen_census_match (generated == interpreted
 //                    census for every registry protocol, gated) and the
-//                    batched StatePool throughput.
+//                    A2 immunity-pruning parity.
 //   --smoke          smaller reference instance for CI gating
 //                    (scripts/check.sh stage 7 / scripts/bench_gate.py).
 #include <benchmark/benchmark.h>
@@ -40,11 +40,9 @@
 #include <utility>
 
 #include "legacy/machines.hpp"
-#include "proto/pool.hpp"
 #include "proto/registry.hpp"
 #include "sched/explorer.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 #include "verify/run.hpp"
 
 namespace {
@@ -415,130 +413,6 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(
                     std::max<std::uint64_t>(1, immune_checks));
 
-  // Batched SoA pool throughput (GATED >= 2.0 now that the frontier
-  // explorer leans on the kernels): the generated staged batch kernel
-  // stepping all lanes with ONE indirect call per round, against the
-  // pool's own per-lane fallback — a vector of IrMachine interpreters,
-  // one virtual deliver() per lane per round — which is exactly what
-  // deliver_all() runs when the Program has no generated entry and what
-  // the frontier's scalar arena path degenerates to off-grid.  A third,
-  // informational rate drives the SAME rounds through scalar GENERATED
-  // machines: that pair isolates pure dispatch cost and lands near 1x,
-  // which is why it is reported but not gated.
-  //
-  // Like the ir_overhead rounds above, each repetition constructs both
-  // sides untimed (lane setup is amortized across a whole wave in the
-  // frontier engine), times only the delivery sweeps back-to-back, and
-  // the gated speedup is the MEDIAN of the paired per-rep ratios — a
-  // one-shot timing of a sub-millisecond region is scheduler noise.
-  const auto pool_program =
-      proto::build_program("staged", proto::Params{{"f", 1}, {"t", 2}});
-  const auto pool_factory =
-      proto::machine_factory("staged", proto::Params{{"f", 1}, {"t", 2}});
-  const std::size_t pool_lanes = smoke ? 1024 : 4096;
-  const std::size_t pool_rounds = 64;
-  std::vector<std::uint64_t> returned(pool_lanes, 0);
-  for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-    returned[lane] = util::mix64(lane) % 3;
-  }
-  double pool_rate = 0.0;
-  double scalar_rate = 0.0;
-  double generated_scalar_rate = 0.0;
-  std::uint64_t pool_deliveries = 0;
-  std::vector<double> pool_ratios;
-  for (int rep = 0; rep < 7; ++rep) {
-    proto::StatePool pool(pool_program, pool_lanes);
-    for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-      pool.add(static_cast<objects::ProcessId>(lane % 4), 1 + lane % 3);
-    }
-    std::uint64_t rep_pool_deliveries = 0;
-    const auto pool_start = std::chrono::steady_clock::now();
-    for (std::size_t round = 0; round < pool_rounds; ++round) {
-      std::uint64_t active = 0;
-      for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-        if (!pool.done(lane)) ++active;
-      }
-      if (active == 0) break;
-      pool.deliver_all(returned.data());
-      rep_pool_deliveries += active;
-    }
-    const double pool_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      pool_start)
-            .count();
-    benchmark::DoNotOptimize(pool);
-
-    std::vector<proto::IrMachine> interps;
-    interps.reserve(pool_lanes);
-    for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-      interps.emplace_back(pool_program,
-                           static_cast<objects::ProcessId>(lane % 4),
-                           1 + lane % 3);
-    }
-    std::uint64_t rep_scalar_deliveries = 0;
-    const auto scalar_start = std::chrono::steady_clock::now();
-    for (std::size_t round = 0; round < pool_rounds; ++round) {
-      std::uint64_t active = 0;
-      for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-        if (!interps[lane].done()) ++active;
-      }
-      if (active == 0) break;
-      for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-        if (!interps[lane].done()) {
-          interps[lane].deliver(model::Value::of(returned[lane]));
-        }
-      }
-      rep_scalar_deliveries += active;
-    }
-    const double scalar_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scalar_start)
-            .count();
-    benchmark::DoNotOptimize(interps);
-
-    std::vector<std::unique_ptr<sched::StepMachine>> machines;
-    machines.reserve(pool_lanes);
-    for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-      machines.push_back(pool_factory->make(
-          static_cast<objects::ProcessId>(lane % 4), 1 + lane % 3));
-    }
-    std::uint64_t rep_generated_deliveries = 0;
-    const auto generated_start = std::chrono::steady_clock::now();
-    for (std::size_t round = 0; round < pool_rounds; ++round) {
-      std::uint64_t active = 0;
-      for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-        if (!machines[lane]->done()) ++active;
-      }
-      if (active == 0) break;
-      for (std::size_t lane = 0; lane < pool_lanes; ++lane) {
-        if (!machines[lane]->done()) {
-          machines[lane]->deliver(model::Value::of(returned[lane]));
-        }
-      }
-      rep_generated_deliveries += active;
-    }
-    const double generated_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      generated_start)
-            .count();
-    benchmark::DoNotOptimize(machines);
-
-    const double rep_pool_rate = rate(rep_pool_deliveries, pool_seconds);
-    const double rep_scalar_rate = rate(rep_scalar_deliveries, scalar_seconds);
-    pool_rate = std::max(pool_rate, rep_pool_rate);
-    scalar_rate = std::max(scalar_rate, rep_scalar_rate);
-    generated_scalar_rate = std::max(
-        generated_scalar_rate, rate(rep_generated_deliveries,
-                                    generated_seconds));
-    pool_deliveries = rep_pool_deliveries;
-    if (rep_scalar_rate > 0) {
-      pool_ratios.push_back(rep_pool_rate / rep_scalar_rate);
-    }
-  }
-  // An empty ratio list must read as 0 (gate fails loudly), not the
-  // median lambda's empty-sentinel 2.0 (which would pass it).
-  const double pool_batch_speedup =
-      pool_ratios.empty() ? 0.0 : median(pool_ratios);
   const double presize_speedup =
       hot.seconds > 0 && presized.seconds > 0
           ? rate(presized.report.states_visited, presized.seconds) /
@@ -601,19 +475,6 @@ int write_report(const std::string& path, bool smoke) {
   w.kv("immune_prune_factor", immune_prune_factor);
   w.kv("immune_checks", immune_checks);
   w.kv("immune_skips", immune_skips);
-  // Batched SoA pool vs the per-lane IrMachine fallback (gated >= 2.0:
-  // the frontier explorer's throughput claim leans on the kernels).
-  // generated_scalar_deliveries_per_sec is the same sweep through scalar
-  // GENERATED machines — pure dispatch cost, informational.
-  w.key("pool_batch").begin_object();
-  w.kv("lanes", static_cast<std::uint64_t>(pool_lanes));
-  w.kv("rounds", static_cast<std::uint64_t>(pool_rounds));
-  w.kv("deliveries", pool_deliveries);
-  w.kv("deliveries_per_sec", pool_rate);
-  w.kv("scalar_deliveries_per_sec", scalar_rate);
-  w.kv("generated_scalar_deliveries_per_sec", generated_scalar_rate);
-  w.kv("speedup", pool_batch_speedup);
-  w.end_object();
   // Sanity invariants the gate can assert without re-deriving them.
   w.kv("census_states_match",
        presized.report.states_visited == hot.report.states_visited);
@@ -630,9 +491,8 @@ int write_report(const std::string& path, bool smoke) {
             << " interpreter_overhead=" << interpreter_overhead
             << " codegen_census_match=" << codegen_census_match
             << " immune_prune_factor=" << immune_prune_factor
-            << " immune_census_match=" << immune_census_match
-            << " pool_batch_speedup=" << pool_batch_speedup << " -> " << path
-            << "\n";
+            << " immune_census_match=" << immune_census_match << " -> "
+            << path << "\n";
   return 0;
 }
 

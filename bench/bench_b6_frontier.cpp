@@ -1,4 +1,4 @@
-// B6 — throughput of the batched owner-computes frontier explorer.
+// B6 — throughput of the owner-computes frontier explorer.
 //
 // Three questions feed the BENCH trajectory:
 //   * How fast is the frontier engine against the sequential DFS, the
@@ -128,6 +128,7 @@ void emit_throughput(util::JsonWriter& w, std::uint64_t reps) {
   std::uint64_t dfs_peak = 0;
   std::uint64_t frontier_peak = 0;
   std::uint64_t waves = 0;
+  std::uint64_t workers = 0;
   bool census_ok = true;
   bool complete = true;
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
@@ -148,11 +149,13 @@ void emit_throughput(util::JsonWriter& w, std::uint64_t reps) {
     dfs_peak = dr.peak_bytes;
     frontier_peak = fr.peak_bytes;
     waves = fr.frontier->waves;
+    workers = fr.frontier->workers;
   }
 
   w.key("throughput").begin_object();
   w.kv("protocol", "staged f=1 t=2 n=3 distinct");
-  w.kv("threads", std::uint64_t{kThreads});
+  w.kv("threads_requested", std::uint64_t{kThreads});
+  w.kv("workers", workers);
   w.kv("reps", reps);
   w.kv("states", states);
   w.kv("waves", waves);

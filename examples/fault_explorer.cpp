@@ -222,9 +222,9 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   verify::JobSpec spec;
   spec.protocol = cli.get_string("protocol", "staged");
   const auto f = cli.get_uint("f", 1);
-  const auto t_raw = static_cast<std::uint32_t>(cli.get_uint("t", 1));
+  const std::uint32_t t_raw = cli.get_u32("t", 1);
   spec.t = t_raw == 0 ? model::kUnbounded : t_raw;
-  spec.processes = static_cast<std::uint32_t>(cli.get_uint("n", 2));
+  spec.processes = cli.get_u32("n", 2);
   spec.kind =
       verify::fault_kind_from_string(cli.get_string("kind", "overriding"));
   // Map the explorer's CLI vocabulary onto the registry's parameter
@@ -234,8 +234,7 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   spec.params["t"] = spec.t == model::kUnbounded ? 1 : spec.t;
   spec.params["k"] = cli.get_uint("objects", f + 1);
 
-  spec.crash_budget = static_cast<std::uint32_t>(
-      cli.get_uint("crash-budget", cli.has("crashes") ? 1 : 0));
+  spec.crash_budget = cli.get_u32("crash-budget", cli.has("crashes") ? 1 : 0);
   spec.killed_is_violation = spec.kind == model::FaultKind::kNonresponsive;
   spec.symmetry_reduction = !cli.has("no-symmetry");
   spec.sleep_sets = !cli.has("no-sleep-sets");
@@ -251,7 +250,7 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
         "--threads sets the frontier engine's workers; add --engine "
         "frontier (the " + engine + " engine is single-threaded)");
   }
-  spec.threads = static_cast<std::uint32_t>(cli.get_uint("threads", 0));
+  spec.threads = cli.get_u32("threads", 0);
   if (spec.engine == verify::Engine::kFrontier && spec.sleep_sets) {
     std::cout << "note: sleep sets are a DFS-path notion; disabled for the "
                  "frontier (BFS) engine\n";
@@ -352,7 +351,7 @@ int report_explore(const verify::JobSpec& spec,
   if (report.frontier) {
     std::cout << "frontier       : waves=" << report.frontier->waves
               << " forwarded=" << report.frontier->forwarded
-              << " batch_sweeps=" << report.frontier->batch_sweeps
+              << " workers=" << report.frontier->workers
               << " memo_hits=" << report.frontier->memo_hits
               << " lanes=" << report.frontier->arena_lanes << '\n';
     if (report.frontier->spill_runs > 0) {

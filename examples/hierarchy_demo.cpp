@@ -13,8 +13,8 @@
 
 int main(int argc, char** argv) {
   const ff::util::Cli cli(argc, argv);
-  const auto max_f = static_cast<std::uint32_t>(cli.get_uint("max-f", 3));
-  const auto t = static_cast<std::uint32_t>(cli.get_uint("t", 1));
+  const auto max_f = cli.get_u32("max-f", 3);
+  const auto t = cli.get_u32("t", 1);
 
   std::cout << "The consensus hierarchy, populated by faulty CAS "
                "ensembles\n"

@@ -26,9 +26,9 @@
 
 int main(int argc, char** argv) {
   const ff::util::Cli cli(argc, argv);
-  const auto workers = static_cast<std::uint32_t>(cli.get_uint("workers", 3));
-  const auto epochs = static_cast<std::uint32_t>(cli.get_uint("epochs", 50));
-  const auto t = static_cast<std::uint32_t>(cli.get_uint("t", 2));
+  const auto workers = cli.get_u32("workers", 3);
+  const auto epochs = cli.get_u32("epochs", 50);
+  const auto t = cli.get_u32("t", 2);
   const std::uint32_t f = workers - 1;
 
   std::cout << "leader_election: " << workers << " workers, " << epochs

@@ -16,8 +16,8 @@
 
 int main(int argc, char** argv) {
   const ff::util::Cli cli(argc, argv);
-  const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 2));
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n", 4));
+  const auto f = cli.get_u32("f", 2);
+  const auto n = cli.get_u32("n", 4);
   const auto trials = cli.get_uint("trials", 100);
   const double fault_rate = cli.get_double("fault-rate", 0.5);
 

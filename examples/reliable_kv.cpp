@@ -53,9 +53,9 @@ struct PutOp {
 
 int main(int argc, char** argv) {
   const ff::util::Cli cli(argc, argv);
-  const auto workers = static_cast<std::uint32_t>(cli.get_uint("workers", 4));
-  const auto slots = static_cast<std::uint32_t>(cli.get_uint("slots", 200));
-  const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 2));
+  const auto workers = cli.get_u32("workers", 4);
+  const auto slots = cli.get_u32("slots", 200);
+  const auto f = cli.get_u32("f", 2);
   const double fault_rate = cli.get_double("fault-rate", 0.6);
 
   std::cout << "reliable_kv: " << workers << " workers, " << slots

@@ -24,10 +24,7 @@ B3 gates (smoke and full mode alike):
     ffcheck's proved-immune objects leaves the census bit-identical for
     every simulable registry protocol;
   * immune_prune_factor >= 1.0 — the A2 pruning never adds work
-    ((checks+skips)/checks; > 1 whenever an immunity proof fired);
-  * pool_batch.speedup >= 2.0 — one batch_deliver sweep over a
-    StatePool block beats per-lane interpreter delivery at least 2x
-    (median of paired per-round rate ratios).
+    ((checks+skips)/checks; > 1 whenever an immunity proof fired).
 
 B5 gates:
   * crash_free_census_match is true for every crash_growth_* section —
@@ -70,7 +67,6 @@ MIN_REDUCTION_FACTOR = 5.0
 MAX_IR_OVERHEAD = 0.02
 MAX_CRASH_GROWTH_B1 = 64.0
 MIN_IMMUNE_PRUNE_FACTOR = 1.0
-MIN_POOL_BATCH_SPEEDUP = 2.0
 MIN_WARM_SPEEDUP = 100.0
 
 
@@ -85,7 +81,6 @@ def gate_b3(report):
     interp_overhead = float(report.get("interpreter_overhead", 0.0))
     immune_census_ok = bool(report["immune_census_match"])
     immune_factor = float(report["immune_prune_factor"])
-    pool_speedup = float(report["pool_batch"]["speedup"])
 
     mode = "smoke" if report.get("smoke") else "full"
     print(f"bench gate B3 ({mode}): reduction {unreduced} -> {reduced} "
@@ -93,8 +88,7 @@ def gate_b3(report):
           f"generated overhead: {ir_overhead:.3f} (interpreter: "
           f"{interp_overhead:.3f}), ir census match: {ir_census_ok}, "
           f"codegen census match: {codegen_census_ok}, immune prune "
-          f"{immune_factor:.2f}x (census match: {immune_census_ok}), "
-          f"pool batch {pool_speedup:.2f}x")
+          f"{immune_factor:.2f}x (census match: {immune_census_ok})")
 
     failed = False
     if not census_ok:
@@ -124,10 +118,6 @@ def gate_b3(report):
     if immune_factor < MIN_IMMUNE_PRUNE_FACTOR:
         print(f"bench_gate: FAIL — immune prune factor {immune_factor:.2f} "
               f"< {MIN_IMMUNE_PRUNE_FACTOR}", file=sys.stderr)
-        failed = True
-    if pool_speedup < MIN_POOL_BATCH_SPEEDUP:
-        print(f"bench_gate: FAIL — pool batch speedup {pool_speedup:.2f} < "
-              f"{MIN_POOL_BATCH_SPEEDUP}", file=sys.stderr)
         failed = True
     return failed
 

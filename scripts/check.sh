@@ -34,11 +34,10 @@
 #      generated-machine overhead is <= 2% with every registry
 #      protocol's generated census matching the interpreter, the A2
 #      immunity pruning leaves the census bit-identical with a prune
-#      factor >= 1, the pool batch sweep is >= 2x scalar delivery, the
-#      B5 crash growth/latency bounds hold, and the B6 frontier engine
-#      keeps a census bit-equal to the DFS census in memory and under
-#      forced spilling (its states/sec over the DFS's is reported, not
-#      gated);
+#      factor >= 1, the B5 crash growth/latency bounds hold, and the B6
+#      frontier engine keeps a census bit-equal to the DFS census in
+#      memory and under forced spilling (its states/sec over the DFS's
+#      is reported, not gated);
 #  10. verify-cache (label `verify-cache`: the canonical job layer —
 #      JobSpec round-trips, strict validation, and the persistent
 #      census cache's hit/miss/soundness matrix), then

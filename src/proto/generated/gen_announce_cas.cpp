@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 862f8f6d36a1433c
+// checksum: 656002fe04d5739a
 //
 // Machines for protocol "announce-cas" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -63,27 +63,7 @@ class M_announce_cas_n2 final : public sched::StepMachine {
     return std::make_unique<M_announce_cas_n2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_announce_cas_n2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_announce_cas_n2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_announce_cas_n2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -101,31 +81,6 @@ class M_announce_cas_n2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -223,27 +178,7 @@ class M_announce_cas_n3 final : public sched::StepMachine {
     return std::make_unique<M_announce_cas_n3>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_announce_cas_n3 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_announce_cas_n3 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_announce_cas_n3(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -261,31 +196,6 @@ class M_announce_cas_n3 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -383,27 +293,7 @@ class M_announce_cas_n4 final : public sched::StepMachine {
     return std::make_unique<M_announce_cas_n4>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_announce_cas_n4 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_announce_cas_n4 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_announce_cas_n4(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -421,31 +311,6 @@ class M_announce_cas_n4 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -543,27 +408,7 @@ class M_announce_cas_n5 final : public sched::StepMachine {
     return std::make_unique<M_announce_cas_n5>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_announce_cas_n5 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_announce_cas_n5 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_announce_cas_n5(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -581,31 +426,6 @@ class M_announce_cas_n5 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -663,10 +483,10 @@ class M_announce_cas_n5 final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_announce_cas(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0x657b7ed63e8ae0afull, &M_announce_cas_n2::make, &M_announce_cas_n2::init_lane, &M_announce_cas_n2::batch_deliver},
-      {0x42faa7b57a4be874ull, &M_announce_cas_n3::make, &M_announce_cas_n3::init_lane, &M_announce_cas_n3::batch_deliver},
-      {0x0d387a6f18856bc9ull, &M_announce_cas_n4::make, &M_announce_cas_n4::init_lane, &M_announce_cas_n4::batch_deliver},
-      {0x9ce504e9815dc7f5ull, &M_announce_cas_n5::make, &M_announce_cas_n5::init_lane, &M_announce_cas_n5::batch_deliver},
+      {0x657b7ed63e8ae0afull, &M_announce_cas_n2::make},
+      {0x42faa7b57a4be874ull, &M_announce_cas_n3::make},
+      {0x0d387a6f18856bc9ull, &M_announce_cas_n4::make},
+      {0x9ce504e9815dc7f5ull, &M_announce_cas_n5::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

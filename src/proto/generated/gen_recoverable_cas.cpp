@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 3874a2c1871291e4
+// checksum: e619e39ea1fa1c33
 //
 // Machines for protocol "recoverable-cas" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -69,27 +69,7 @@ class M_recoverable_cas final : public sched::StepMachine {
     return std::make_unique<M_recoverable_cas>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_cas m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_cas m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_cas(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -99,26 +79,6 @@ class M_recoverable_cas final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -157,7 +117,7 @@ class M_recoverable_cas final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_recoverable_cas(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0x25b25203a2e19bb7ull, &M_recoverable_cas::make, &M_recoverable_cas::init_lane, &M_recoverable_cas::batch_deliver},
+      {0x25b25203a2e19bb7ull, &M_recoverable_cas::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

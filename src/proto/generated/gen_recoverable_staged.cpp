@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 70ac797ceedc999d
+// checksum: 2457484cf2f92e00
 //
 // Machines for protocol "recoverable-staged" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -74,27 +74,7 @@ class M_recoverable_staged_f1t1 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f1t1>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f1t1 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f1t1 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f1t1(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -108,32 +88,6 @@ class M_recoverable_staged_f1t1 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -263,27 +217,7 @@ class M_recoverable_staged_f1t2 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f1t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f1t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f1t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f1t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -297,32 +231,6 @@ class M_recoverable_staged_f1t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -452,27 +360,7 @@ class M_recoverable_staged_f1t3 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f1t3>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f1t3 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f1t3 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f1t3(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -486,32 +374,6 @@ class M_recoverable_staged_f1t3 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -641,27 +503,7 @@ class M_recoverable_staged_f2t1 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f2t1>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f2t1 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f2t1 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f2t1(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -675,32 +517,6 @@ class M_recoverable_staged_f2t1 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -830,27 +646,7 @@ class M_recoverable_staged_f2t2 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f2t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f2t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f2t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f2t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -864,32 +660,6 @@ class M_recoverable_staged_f2t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -1019,27 +789,7 @@ class M_recoverable_staged_f3t2 final : public sched::StepMachine {
     return std::make_unique<M_recoverable_staged_f3t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_recoverable_staged_f3t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_recoverable_staged_f3t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_recoverable_staged_f3t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -1053,32 +803,6 @@ class M_recoverable_staged_f3t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -1157,12 +881,12 @@ class M_recoverable_staged_f3t2 final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_recoverable_staged(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0xee472292ebf8f3afull, &M_recoverable_staged_f1t1::make, &M_recoverable_staged_f1t1::init_lane, &M_recoverable_staged_f1t1::batch_deliver},
-      {0x57500fdce1068e37ull, &M_recoverable_staged_f1t2::make, &M_recoverable_staged_f1t2::init_lane, &M_recoverable_staged_f1t2::batch_deliver},
-      {0xbd42caa9c54810d7ull, &M_recoverable_staged_f1t3::make, &M_recoverable_staged_f1t3::init_lane, &M_recoverable_staged_f1t3::batch_deliver},
-      {0xd933ee2a3b0c26b4ull, &M_recoverable_staged_f2t1::make, &M_recoverable_staged_f2t1::init_lane, &M_recoverable_staged_f2t1::batch_deliver},
-      {0x0a1d4195ad4c24dcull, &M_recoverable_staged_f2t2::make, &M_recoverable_staged_f2t2::init_lane, &M_recoverable_staged_f2t2::batch_deliver},
-      {0x6238eb3c7422e29bull, &M_recoverable_staged_f3t2::make, &M_recoverable_staged_f3t2::init_lane, &M_recoverable_staged_f3t2::batch_deliver},
+      {0xee472292ebf8f3afull, &M_recoverable_staged_f1t1::make},
+      {0x57500fdce1068e37ull, &M_recoverable_staged_f1t2::make},
+      {0xbd42caa9c54810d7ull, &M_recoverable_staged_f1t3::make},
+      {0xd933ee2a3b0c26b4ull, &M_recoverable_staged_f2t1::make},
+      {0x0a1d4195ad4c24dcull, &M_recoverable_staged_f2t2::make},
+      {0x6238eb3c7422e29bull, &M_recoverable_staged_f3t2::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

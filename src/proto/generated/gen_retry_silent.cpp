@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 75fe3344ab81f591
+// checksum: 80f43ba9fb0643ba
 //
 // Machines for protocol "retry-silent" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -59,27 +59,7 @@ class M_retry_silent final : public sched::StepMachine {
     return std::make_unique<M_retry_silent>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_retry_silent m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_retry_silent m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_retry_silent(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -93,26 +73,6 @@ class M_retry_silent final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -167,7 +127,7 @@ class M_retry_silent final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_retry_silent(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0xc1ec8de1613df3adull, &M_retry_silent::make, &M_retry_silent::init_lane, &M_retry_silent::batch_deliver},
+      {0xc1ec8de1613df3adull, &M_retry_silent::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 2801208f6051ae47
+// checksum: e008af9c264e1448
 //
 // Machines for protocol "staged" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -65,27 +65,7 @@ class M_staged_f1t1 final : public sched::StepMachine {
     return std::make_unique<M_staged_f1t1>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f1t1 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f1t1 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f1t1(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -99,32 +79,6 @@ class M_staged_f1t1 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -245,27 +199,7 @@ class M_staged_f1t2 final : public sched::StepMachine {
     return std::make_unique<M_staged_f1t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f1t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f1t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f1t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -279,32 +213,6 @@ class M_staged_f1t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -425,27 +333,7 @@ class M_staged_f1t3 final : public sched::StepMachine {
     return std::make_unique<M_staged_f1t3>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f1t3 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f1t3 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f1t3(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -459,32 +347,6 @@ class M_staged_f1t3 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -605,27 +467,7 @@ class M_staged_f2t1 final : public sched::StepMachine {
     return std::make_unique<M_staged_f2t1>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f2t1 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f2t1 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f2t1(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -639,32 +481,6 @@ class M_staged_f2t1 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -785,27 +601,7 @@ class M_staged_f2t2 final : public sched::StepMachine {
     return std::make_unique<M_staged_f2t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f2t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f2t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f2t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -819,32 +615,6 @@ class M_staged_f2t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -965,27 +735,7 @@ class M_staged_f3t2 final : public sched::StepMachine {
     return std::make_unique<M_staged_f3t2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_staged_f3t2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_staged_f3t2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_staged_f3t2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 1u:
@@ -999,32 +749,6 @@ class M_staged_f3t2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    l4_ = v.locals[4u * v.stride + lane];
-    l5_ = v.locals[5u * v.stride + lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.locals[4u * v.stride + lane] = l4_;
-    v.locals[5u * v.stride + lane] = l5_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -1103,12 +827,12 @@ class M_staged_f3t2 final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_staged(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0xdd01f5e09cc70b3aull, &M_staged_f1t1::make, &M_staged_f1t1::init_lane, &M_staged_f1t1::batch_deliver},
-      {0x1e49657a1be39697ull, &M_staged_f1t2::make, &M_staged_f1t2::init_lane, &M_staged_f1t2::batch_deliver},
-      {0xcfb774eafdfc7df2ull, &M_staged_f1t3::make, &M_staged_f1t3::init_lane, &M_staged_f1t3::batch_deliver},
-      {0x726299200e255564ull, &M_staged_f2t1::make, &M_staged_f2t1::init_lane, &M_staged_f2t1::batch_deliver},
-      {0x0a18db91fba7329dull, &M_staged_f2t2::make, &M_staged_f2t2::init_lane, &M_staged_f2t2::batch_deliver},
-      {0x75ab5227dd44ab39ull, &M_staged_f3t2::make, &M_staged_f3t2::init_lane, &M_staged_f3t2::batch_deliver},
+      {0xdd01f5e09cc70b3aull, &M_staged_f1t1::make},
+      {0x1e49657a1be39697ull, &M_staged_f1t2::make},
+      {0xcfb774eafdfc7df2ull, &M_staged_f1t3::make},
+      {0x726299200e255564ull, &M_staged_f2t1::make},
+      {0x0a18db91fba7329dull, &M_staged_f2t2::make},
+      {0x75ab5227dd44ab39ull, &M_staged_f3t2::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

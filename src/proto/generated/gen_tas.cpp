@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: c1ecdec1d0e0bcc2
+// checksum: 1b58c5c8b37c1062
 //
 // Machines for protocol "tas" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -61,27 +61,7 @@ class M_tas_n2 final : public sched::StepMachine {
     return std::make_unique<M_tas_n2>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_tas_n2 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_tas_n2 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_tas_n2(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -99,29 +79,6 @@ class M_tas_n2 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -223,27 +180,7 @@ class M_tas_n3 final : public sched::StepMachine {
     return std::make_unique<M_tas_n3>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_tas_n3 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_tas_n3 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_tas_n3(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -261,29 +198,6 @@ class M_tas_n3 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -385,27 +299,7 @@ class M_tas_n4 final : public sched::StepMachine {
     return std::make_unique<M_tas_n4>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_tas_n4 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_tas_n4 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_tas_n4(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -423,29 +317,6 @@ class M_tas_n4 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -547,27 +418,7 @@ class M_tas_n5 final : public sched::StepMachine {
     return std::make_unique<M_tas_n5>(pid, input);
   }
 
-  static void init_lane(const LaneView& v, std::size_t lane,
-                        objects::ProcessId pid, std::uint64_t input) {
-    const M_tas_n5 m(pid, input);
-    m.store(v, lane);
-  }
-
-  static void batch_deliver(const LaneView& v, std::size_t count,
-                            const std::uint64_t* returned) {
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if (v.status[lane] != kLanePaused) continue;
-      M_tas_n5 m{LoadTag{}};
-      m.load(v, lane);
-      m.deliver_raw(returned[lane]);
-      m.store(v, lane);
-    }
-  }
-
  private:
-  struct LoadTag {};
-  explicit M_tas_n5(LoadTag /*tag*/) {}
-
   void deliver_raw(std::uint64_t v) {
     switch (pc_) {
       case 0u:
@@ -585,29 +436,6 @@ class M_tas_n5 final : public sched::StepMachine {
       default:
         return;
     }
-  }
-
-  void load(const LaneView& v, std::size_t lane) {
-    l0_ = v.locals[0u * v.stride + lane];
-    l1_ = v.locals[1u * v.stride + lane];
-    l2_ = v.locals[2u * v.stride + lane];
-    l3_ = v.locals[3u * v.stride + lane];
-    pid_ = v.pid[lane];
-    pc_ = v.pc[lane];
-  }
-
-  void store(const LaneView& v, std::size_t lane) const {
-    v.locals[0u * v.stride + lane] = l0_;
-    v.locals[1u * v.stride + lane] = l1_;
-    v.locals[2u * v.stride + lane] = l2_;
-    v.locals[3u * v.stride + lane] = l3_;
-    v.pc[lane] = pc_;
-    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;
-    v.decision[lane] = decision_;
-    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);
-    v.op_object[lane] = pending_.object;
-    v.op_expected[lane] = pending_.expected.raw();
-    v.op_desired[lane] = pending_.desired.raw();
   }
 
   void advance(std::uint32_t entry) {
@@ -671,10 +499,10 @@ class M_tas_n5 final : public sched::StepMachine {
 
 const GenEntry* ff_gen_entries_tas(std::size_t& count) {
   static const GenEntry kEntries[] = {
-      {0x189f463ad4ce0442ull, &M_tas_n2::make, &M_tas_n2::init_lane, &M_tas_n2::batch_deliver},
-      {0xcdcb2f29f24d974aull, &M_tas_n3::make, &M_tas_n3::init_lane, &M_tas_n3::batch_deliver},
-      {0x78a1b2ae373f6a23ull, &M_tas_n4::make, &M_tas_n4::init_lane, &M_tas_n4::batch_deliver},
-      {0xf2b0a08f0d83873aull, &M_tas_n5::make, &M_tas_n5::init_lane, &M_tas_n5::batch_deliver},
+      {0x189f463ad4ce0442ull, &M_tas_n2::make},
+      {0xcdcb2f29f24d974aull, &M_tas_n3::make},
+      {0x78a1b2ae373f6a23ull, &M_tas_n4::make},
+      {0xf2b0a08f0d83873aull, &M_tas_n5::make},
   };
   count = sizeof(kEntries) / sizeof(kEntries[0]);
   return kEntries;

@@ -75,38 +75,6 @@ class IrMachine final : public sched::StepMachine {
     return halted_ ? sched::kNoSite : pc_;
   }
 
-  /// Tag for the crash-restore constructor below.
-  struct CrashRestoreTag {};
-
-  /// Rebuilds the paused machine a crash leaves behind, starting from a
-  /// FULL local image (one word per Program local) instead of a live
-  /// machine: the volatile locals are wiped, the pending op dropped, and
-  /// the program re-entered at its recovery label — word-for-word what
-  /// crash() does to a live machine with the same locals.  This is the
-  /// scalar crash seam of the batched frontier explorer: ffgen emits no
-  /// batch crash kernel (crash branches are rare next to deliveries), so
-  /// the frontier arena reconstructs crashed lanes through this
-  /// constructor and scatters the resulting locals/pc back into its
-  /// columns.
-  IrMachine(std::shared_ptr<const Program> program, objects::ProcessId pid,
-            const Word* locals, CrashRestoreTag)
-      : program_(std::move(program)),
-        vm_base_(program_->vm_code().data()),
-        pid_(pid) {
-    assert(program_->has_recovery());
-    const auto& specs = program_->locals();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      locals_[i] = specs[i].persistent ? locals[i] : 0;
-    }
-    run_from(program_->vm_offset(program_->recovery_pc()));
-  }
-
-  /// Full local array (kMaxLocals entries; the first locals().size() are
-  /// meaningful) — the frontier arena's scatter seam.
-  [[nodiscard]] const Word* locals_data() const noexcept {
-    return locals_.data();
-  }
-
   /// Crash–recovery (StepMachine overrides).  A crash wipes every
   /// volatile local to 0, preserves the persistent locals, drops the
   /// pending op, and re-enters the program at the recovery entry —

@@ -171,7 +171,7 @@ class FlatFpMap {
 
 /// Pre-size for the fingerprint tables and per-state arenas, shared by
 /// every FlatFpMap consumer (the sequential explorer, shortest-witness
-/// search, batched pools).  An explicit expected_states hint is the
+/// search, the frontier's shard tables).  An explicit expected_states hint is the
 /// caller asserting the census size, so it is trusted up to 2^26
 /// entries — the old 2^24 cap silently re-capped exact large hints and
 /// made the table rehash mid-census right after a run had measured the

@@ -106,8 +106,8 @@ struct ExploreResult {
   std::set<std::uint64_t> agreed_values;
   /// Mid-run rehashes of the fingerprint table.  0 exactly when
   /// expected_states pre-sized the table for the whole census — the
-  /// regression signal for the stale-pre-size path (batched pools size
-  /// their columns from the same hint).
+  /// regression signal for the stale-pre-size path (the frontier sizes
+  /// its shard tables from the same hint).
   std::uint64_t table_grows = 0;
   /// A2 immunity-pruning tallies for THIS search (deltas of the world's
   /// shared counters): overriding-fault enabling conditions evaluated

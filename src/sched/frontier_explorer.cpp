@@ -19,13 +19,10 @@
 //            and decides stop/spill for everyone (spin barriers carry
 //            the happens-before edges).
 //
-// Machine stepping is memoized per (lane, returned-word) transition;
-// memo misses are gathered into ONE proto::StatePool per block and
-// stepped with a single batch_deliver sweep (the perf point of this
-// engine), falling back to scalar StepMachine stepping when the program
-// has no generated kernels.  Crash branches are rare next to deliveries,
-// so crashed lanes are rebuilt one at a time through IrMachine's
-// crash-restore constructor (or clone()+crash() on the scalar path).
+// Machine stepping is memoized per (lane, returned-word) transition, in
+// a worker-private cache in front of the shared lane arena; a miss in
+// both is one clone() + deliver() (or crash()) of the interned machine,
+// resolved where it is found.
 #include "sched/frontier_explorer.hpp"
 
 #include <algorithm>
@@ -43,10 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "proto/fingerprint.hpp"
-#include "proto/genapi.hpp"
-#include "proto/machine.hpp"
-#include "proto/pool.hpp"
 #include "runtime/budget.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/reduce.hpp"
@@ -74,7 +67,7 @@ constexpr std::uint8_t kChoiceCrash = 2;
 /// Record-only: the state behind this record is terminal.
 constexpr std::uint8_t kRecTerminal = 4;
 
-/// Items per expansion block between pend flushes / ring drains.
+/// Items expanded between ring drains.
 constexpr std::size_t kExpandBlock = 64;
 /// Records per SPSC ring (per producer/consumer pair).
 constexpr std::size_t kRingRecords = 512;
@@ -185,11 +178,6 @@ struct LaneMeta {
   bool can_crash = false;
 };
 
-struct DeliverMiss {
-  std::uint32_t lane;
-  std::uint64_t returned;
-};
-
 /// FlatFpMap slots entries at fp.a's low bits directly, which is only
 /// sound for well-mixed values; lane ids are tiny sequential integers,
 /// so memo keys run the pair through the SplitMix64 finalizer first.
@@ -204,45 +192,18 @@ struct DeliverMiss {
 
 class LaneArena {
  public:
-  LaneArena(const MachineFactory& factory, std::uint32_t batch_lanes)
-      : factory_(&factory) {
-    if (const auto* irf = dynamic_cast<const proto::IrMachineFactory*>(
-            &factory)) {
-      program_ = irf->program();
-    } else if (const auto* gmf =
-                   dynamic_cast<const proto::gen::GenMachineFactory*>(
-                       &factory)) {
-      program_ = gmf->program();
-    }
-    if (program_ != nullptr && !program_->uses_queue() &&
-        proto::gen::find_generated(proto::program_fingerprint(*program_)) !=
-            nullptr) {
-      num_locals_ = program_->locals().size();
-      row_words_ = num_locals_ + 1;  // full local image + pause pc
-      staging_ = std::make_unique<proto::StatePool>(
-          program_, std::max<std::uint32_t>(1, batch_lanes));
-      returned_.resize(staging_->capacity(), 0);
-      locals_scratch_.resize(num_locals_, 0);
-      // Hoisted ONCE: whether crashed lanes re-enter the program (the
-      // IR has a recovery label).  Checked per resolved lane below.
-      crash_reentry_ = program_->has_recovery();
-    }
-  }
+  explicit LaneArena(const MachineFactory& factory) : factory_(&factory) {}
 
   LaneArena(const LaneArena&) = delete;
   LaneArena& operator=(const LaneArena&) = delete;
 
   ~LaneArena() {
-    for (auto& c : row_chunks_) delete[] c.load(std::memory_order_relaxed);
     for (auto& c : meta_chunks_) delete[] c.load(std::memory_order_relaxed);
     for (auto& c : machine_chunks_) {
       delete[] c.load(std::memory_order_relaxed);
     }
   }
 
-  [[nodiscard]] bool generated() const noexcept {
-    return staging_ != nullptr;
-  }
   [[nodiscard]] bool overflowed() const noexcept {
     return overflow_.load(std::memory_order_relaxed);
   }
@@ -252,15 +213,10 @@ class LaneArena {
         std::memory_order_acquire)[lane & (kLaneChunk - 1)];
   }
 
-  /// Appends the lane's encode() words — bit-identical to the scalar
-  /// machine's encode(), which is what makes item fingerprints equal to
-  /// the sequential explorer's.
+  /// Appends the lane's encode() words — the machine's own encode(),
+  /// which is what makes item fingerprints equal to the sequential
+  /// explorer's.
   void encode_lane(std::uint32_t lane, std::vector<std::uint64_t>& out) const {
-    if (staging_ != nullptr) {
-      const std::uint64_t* row = row_of(lane);
-      for (const std::uint16_t l : program_->layout()) out.push_back(row[l]);
-      return;
-    }
     machine_of(lane)->encode(out);
   }
 
@@ -268,71 +224,28 @@ class LaneArena {
   [[nodiscard]] std::uint32_t root_lane(objects::ProcessId pid,
                                         std::uint64_t input) {
     std::lock_guard<std::mutex> g(mu_);
-    if (staging_ != nullptr) {
-      staging_->clear();
-      const std::size_t slot = staging_->add(pid, input);
-      return intern_from_staging(slot, pid);
-    }
     return intern_machine(factory_->make(pid, input), pid);
   }
 
-  /// Resolves every (lane, returned) memo miss of one expansion block:
-  /// staged into the pool in capacity-sized chunks, ONE batch_deliver
-  /// sweep per chunk, results scattered back and interned.  out[i] is
-  /// the successor lane of misses[i].
-  void resolve_delivers(const std::vector<DeliverMiss>& misses,
-                        std::vector<std::uint32_t>& out) {
-    out.resize(misses.size());
+  /// The lane that delivering `returned` to `lane` leaves behind: the
+  /// arena memo, else one clone() + deliver() step, interned and
+  /// memoized on the spot.
+  [[nodiscard]] std::uint32_t resolve_deliver(std::uint32_t lane,
+                                              std::uint64_t returned) {
     std::lock_guard<std::mutex> g(mu_);
-    if (staging_ == nullptr) {
-      for (std::size_t i = 0; i < misses.size(); ++i) {
-        const Fingerprint key = memo_key(misses[i].lane, misses[i].returned);
-        const std::uint32_t hit = deliver_memo_.find(key);
-        if (hit != FlatFpMap::kNoValue) {
-          ++memo_hits_;
-          out[i] = hit;
-          continue;
-        }
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        std::unique_ptr<StepMachine> next = machine_of(misses[i].lane)->clone();
-        next->deliver(model::Value::of(misses[i].returned));
-        out[i] = intern_machine(std::move(next), m.pid);
-        deliver_memo_.insert_or_get(key, out[i]);
-      }
-      return;
+    const Fingerprint key = memo_key(lane, returned);
+    const std::uint32_t hit = deliver_memo_.find(key);
+    if (hit != FlatFpMap::kNoValue) {
+      ++memo_hits_;
+      return hit;
     }
-    const std::size_t cap = staging_->capacity();
-    std::vector<std::size_t> staged_of(misses.size(), SIZE_MAX);
-    for (std::size_t base = 0; base < misses.size(); base += cap) {
-      const std::size_t end = std::min(misses.size(), base + cap);
-      staging_->clear();
-      for (std::size_t i = base; i < end; ++i) {
-        const Fingerprint key = memo_key(misses[i].lane, misses[i].returned);
-        const std::uint32_t hit = deliver_memo_.find(key);
-        if (hit != FlatFpMap::kNoValue) {
-          ++memo_hits_;
-          out[i] = hit;
-          continue;
-        }
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        const std::uint64_t* row = row_of(misses[i].lane);
-        const std::size_t slot = staging_->add_staged(
-            m.pid, row, static_cast<std::uint32_t>(row[num_locals_]));
-        returned_[slot] = misses[i].returned;
-        staged_of[i] = slot;
-      }
-      if (staging_->size() == 0) continue;
-      staging_->deliver_all(returned_.data());
-      ++batch_sweeps_;
-      batched_lanes_ += staging_->size();
-      for (std::size_t i = base; i < end; ++i) {
-        if (staged_of[i] == SIZE_MAX) continue;
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        out[i] = intern_from_staging(staged_of[i], m.pid);
-        deliver_memo_.insert_or_get(
-            memo_key(misses[i].lane, misses[i].returned), out[i]);
-      }
-    }
+    const objects::ProcessId pid = meta_locked(lane).pid;
+    std::unique_ptr<StepMachine> next = machine_of(lane)->clone();
+    next->deliver(model::Value::of(returned));
+    ++stepped_lanes_;
+    const std::uint32_t next_lane = intern_machine(std::move(next), pid);
+    deliver_memo_.insert_or_get(key, next_lane);
+    return next_lane;
   }
 
   /// The lane a crash of `lane` leaves behind (volatile locals wiped,
@@ -346,18 +259,10 @@ class LaneArena {
       ++memo_hits_;
       return hit;
     }
-    const LaneMeta m = meta_locked(lane);
-    std::uint32_t next_lane;
-    if (staging_ != nullptr) {
-      assert(crash_reentry_);
-      const proto::IrMachine tmp(program_, m.pid, row_of(lane),
-                                 proto::IrMachine::CrashRestoreTag{});
-      next_lane = intern_ir(tmp, m.pid);
-    } else {
-      std::unique_ptr<StepMachine> next = machine_of(lane)->clone();
-      next->crash();
-      next_lane = intern_machine(std::move(next), m.pid);
-    }
+    const objects::ProcessId pid = meta_locked(lane).pid;
+    std::unique_ptr<StepMachine> next = machine_of(lane)->clone();
+    next->crash();
+    const std::uint32_t next_lane = intern_machine(std::move(next), pid);
     crash_memo_.insert_or_get(key, next_lane);
     return next_lane;
   }
@@ -370,38 +275,27 @@ class LaneArena {
     std::lock_guard<std::mutex> g(mu_);
     return memo_hits_;
   }
-  [[nodiscard]] std::uint64_t batch_sweeps() {
+  [[nodiscard]] std::uint64_t stepped_lanes() {
     std::lock_guard<std::mutex> g(mu_);
-    return batch_sweeps_;
-  }
-  [[nodiscard]] std::uint64_t batched_lanes() {
-    std::lock_guard<std::mutex> g(mu_);
-    return batched_lanes_;
+    return stepped_lanes_;
   }
 
-  /// Capacity census of the arena (chunks + maps + staging columns).
+  /// Capacity census of the arena: chunks, maps, and each interned
+  /// machine counted at its encoded width.  A lower bound — the machine
+  /// objects' vtable pointers, control words and allocator headers are
+  /// not counted.
   [[nodiscard]] std::uint64_t bytes() {
     std::lock_guard<std::mutex> g(mu_);
-    std::uint64_t total = chunks_ * kLaneChunk *
-                          (staging_ != nullptr
-                               ? row_words_ * sizeof(std::uint64_t)
-                               : sizeof(void*));
-    total += chunks_ * kLaneChunk * sizeof(LaneMeta);
+    std::uint64_t total =
+        chunks_ * kLaneChunk * (sizeof(void*) + sizeof(LaneMeta));
+    total += machine_words_ * sizeof(std::uint64_t);
     total += (intern_.capacity() + deliver_memo_.capacity() +
               crash_memo_.capacity()) *
              24;
-    if (staging_ != nullptr) {
-      total += staging_->capacity() * (num_locals_ + 6) * 8;
-    }
     return total;
   }
 
  private:
-  [[nodiscard]] const std::uint64_t* row_of(std::uint32_t lane) const {
-    return row_chunks_[lane >> kLaneChunkBits].load(
-               std::memory_order_acquire) +
-           (lane & (kLaneChunk - 1)) * row_words_;
-  }
   [[nodiscard]] StepMachine* machine_of(std::uint32_t lane) const {
     return machine_chunks_[lane >> kLaneChunkBits]
         .load(std::memory_order_acquire)[lane & (kLaneChunk - 1)]
@@ -424,63 +318,11 @@ class LaneArena {
         meta_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
       meta_chunks_[chunk].store(new LaneMeta[kLaneChunk],
                                 std::memory_order_release);
-      if (staging_ != nullptr) {
-        row_chunks_[chunk].store(new std::uint64_t[kLaneChunk * row_words_](),
-                                 std::memory_order_release);
-      } else {
-        machine_chunks_[chunk].store(
-            new std::unique_ptr<StepMachine>[kLaneChunk],
-            std::memory_order_release);
-      }
+      machine_chunks_[chunk].store(new std::unique_ptr<StepMachine>[kLaneChunk],
+                                   std::memory_order_release);
       ++chunks_;
     }
     return true;
-  }
-
-  [[nodiscard]] std::uint32_t intern_from_staging(std::size_t slot,
-                                                  objects::ProcessId pid) {
-    staging_->copy_locals(slot, locals_scratch_.data());
-    LaneMeta m;
-    m.pid = pid;
-    m.done = staging_->done(slot);
-    m.decision = m.done ? staging_->decision(slot) : 0;
-    m.op = m.done ? PendingOp::none() : staging_->pending(slot);
-    m.can_crash = crash_reentry_ && !m.done;
-    return intern_row(locals_scratch_.data(), staging_->pc(slot), m);
-  }
-
-  [[nodiscard]] std::uint32_t intern_ir(const proto::IrMachine& ir,
-                                        objects::ProcessId pid) {
-    for (std::size_t l = 0; l < num_locals_; ++l) {
-      locals_scratch_[l] = ir.locals_data()[l];
-    }
-    LaneMeta m;
-    m.pid = pid;
-    m.done = ir.done();
-    m.decision = m.done ? ir.decision() : 0;
-    m.op = m.done ? PendingOp::none() : ir.next_op();
-    m.can_crash = crash_reentry_ && !m.done;
-    return intern_row(locals_scratch_.data(), ir.pc(), m);
-  }
-
-  [[nodiscard]] std::uint32_t intern_row(const std::uint64_t* locals,
-                                         std::uint32_t pc, const LaneMeta& m) {
-    FpFold f;
-    f.fold(std::uint64_t{m.pid} + 1);
-    for (const std::uint16_t l : program_->layout()) f.fold(locals[l]);
-    const auto lane = static_cast<std::uint32_t>(size_);
-    const std::uint32_t existing = intern_.insert_or_get(f.done(), lane);
-    if (existing != FlatFpMap::kNoValue) return existing;
-    if (!reserve_lane()) return 0;
-    std::uint64_t* row =
-        row_chunks_[lane >> kLaneChunkBits].load(std::memory_order_relaxed) +
-        (lane & (kLaneChunk - 1)) * row_words_;
-    for (std::size_t l = 0; l < num_locals_; ++l) row[l] = locals[l];
-    row[num_locals_] = pc;
-    meta_chunks_[lane >> kLaneChunkBits].load(
-        std::memory_order_relaxed)[lane & (kLaneChunk - 1)] = m;
-    ++size_;
-    return lane;
   }
 
   [[nodiscard]] std::uint32_t intern_machine(
@@ -505,16 +347,12 @@ class LaneArena {
     machine_chunks_[lane >> kLaneChunkBits].load(
         std::memory_order_relaxed)[lane & (kLaneChunk - 1)] =
         std::move(machine);
+    machine_words_ += enc_scratch_.size();
     ++size_;
     return lane;
   }
 
   const MachineFactory* factory_;
-  std::shared_ptr<const proto::Program> program_;
-  std::unique_ptr<proto::StatePool> staging_;
-  std::size_t num_locals_ = 0;
-  std::size_t row_words_ = 0;
-  bool crash_reentry_ = false;
 
   std::mutex mu_;
   FlatFpMap intern_{1 << 12};
@@ -522,11 +360,9 @@ class LaneArena {
   FlatFpMap crash_memo_{1 << 10};
   std::size_t size_ = 0;
   std::size_t chunks_ = 0;
+  std::uint64_t machine_words_ = 0;  ///< encode() words of interned lanes
   std::uint64_t memo_hits_ = 0;
-  std::uint64_t batch_sweeps_ = 0;
-  std::uint64_t batched_lanes_ = 0;
-  std::vector<std::uint64_t> returned_;
-  std::vector<std::uint64_t> locals_scratch_;
+  std::uint64_t stepped_lanes_ = 0;  ///< lanes stepped on a memo miss
   std::vector<std::uint64_t> enc_scratch_;
 
   // ff-lint: allow(R1): arena capacity flag of the checker itself,
@@ -535,10 +371,8 @@ class LaneArena {
   // ordered by ring/barrier edges) — checker machinery, never part of
   // any modeled protocol history.
   // ff-lint: allow(R1): published lane-chunk pointers, checker-internal
-  std::vector<std::atomic<std::uint64_t*>> row_chunks_{kMaxLaneChunks};
-  // ff-lint: allow(R1): see row_chunks_
   std::vector<std::atomic<LaneMeta*>> meta_chunks_{kMaxLaneChunks};
-  // ff-lint: allow(R1): see row_chunks_
+  // ff-lint: allow(R1): see meta_chunks_
   std::vector<std::atomic<std::unique_ptr<StepMachine>*>> machine_chunks_{
       kMaxLaneChunks};
 };
@@ -559,16 +393,6 @@ struct alignas(64) ShardState {
   std::uint32_t next_seq = 0;
   std::uint32_t spilled_base = 0;
   std::uint64_t grows = 0;  ///< table grows accumulated across resets
-};
-
-struct Pend {
-  const std::uint64_t* item;
-  std::uint32_t miss_idx;
-  std::uint32_t pid;
-  std::uint32_t variant;
-  std::uint8_t flags;
-  std::uint8_t slot;
-  std::uint32_t shared_off;  ///< into WorkerState::pend_shared
 };
 
 struct WorkerState {
@@ -593,15 +417,13 @@ struct WorkerState {
 
   // Expansion scratch.
   StateEncoder encoder;
+  /// The item expand_item is expanding, assembled: finalize_child
+  /// patches each child encoding off it.
   EncodedState parent_enc;
-  /// Points at parent_enc while expand_item runs, null during
-  /// flush_pends (whose pended parents are no longer the assembled
-  /// one): finalize_child patches the child encoding off it when set.
-  const EncodedState* cur_parent_enc = nullptr;
   std::vector<std::uint64_t> block_scratch;
-  /// Per-pid block hashes + multiset sums of the current parent (valid
-  /// with cur_parent_enc, sym only): the child fingerprint is the
-  /// shared fold plus these sums with the stepped block's hash swapped.
+  /// Per-pid block hashes + multiset sums of the current parent (sym
+  /// only): the child fingerprint is the shared fold plus these sums
+  /// with the stepped block's hash swapped.
   std::vector<Fingerprint> parent_block_hash;
   std::uint64_t parent_sum_a = 0;
   std::uint64_t parent_sum_b = 0;
@@ -615,10 +437,6 @@ struct WorkerState {
   std::vector<std::uint64_t> child_item;
   std::vector<std::uint64_t> shared_scratch;
   std::vector<std::uint64_t> ring_tmp;
-  std::vector<Pend> pends;
-  std::vector<DeliverMiss> misses;
-  std::vector<std::uint32_t> miss_lanes;
-  std::vector<std::uint64_t> pend_shared;
 
   // Dedup scratch.
   std::vector<std::uint32_t> sort_idx;
@@ -847,7 +665,7 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
         pack_pid_word(new_lane, crashes, kill || item_killed(old));
   }
   Fingerprint fp;
-  if (ctx.sym && ws.cur_parent_enc != nullptr) {
+  if (ctx.sym) {
     // Incremental canonical fingerprint: fold the child's shared words
     // and swap the stepped pid's block hash in the parent's multiset
     // sums — no child encoding is materialized at all.
@@ -860,11 +678,8 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
       sum_b += h.b - ws.parent_block_hash[pid].b;
     }
     fp = fingerprint_shared_sum(c + kHeaderWords, ctx.S, sum_a, sum_b);
-  } else if (ws.cur_parent_enc != nullptr) {
-    patch_enc(ctx, ws, *ws.cur_parent_enc, c, pid, ws.child_enc);
-    fp = fingerprint_state(ws.child_enc, ctx.sym);
   } else {
-    assemble_enc(ctx, c, ws.child_enc);
+    patch_enc(ctx, ws, ws.parent_enc, c, pid, ws.child_enc);
     fp = fingerprint_state(ws.child_enc, ctx.sym);
   }
   const std::uint32_t shard = ctx.shard_of(fp);
@@ -898,50 +713,23 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   }
 }
 
-/// Deliver-edge successor: worker cache first, else queued for the next
-/// batched arena resolve (the child's shared words are snapshotted into
-/// pend_shared until the flush).
+/// Deliver-edge successor: worker cache first, then the arena, which
+/// steps the machine on a miss.
 void deliver_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                    const std::uint64_t* item, std::uint32_t pid,
                    std::uint32_t variant, std::uint8_t flags,
                    std::uint8_t slot, const std::uint64_t* shared,
                    std::uint32_t lane, std::uint64_t returned) {
   const Fingerprint key = memo_key(lane, returned);
-  const std::uint32_t hit = ws.deliver_cache.find(key);
-  if (hit != FlatFpMap::kNoValue) {
+  std::uint32_t next = ws.deliver_cache.find(key);
+  if (next != FlatFpMap::kNoValue) {
     ++ws.memo_hits;
-    finalize_child(ctx, ws, w, item, pid, variant, flags, slot, shared, hit,
-                   false);
-    return;
+  } else {
+    next = ctx.arena->resolve_deliver(lane, returned);
+    ws.deliver_cache.insert_or_get(key, next);
   }
-  const auto off = static_cast<std::uint32_t>(ws.pend_shared.size());
-  ws.pend_shared.insert(ws.pend_shared.end(), shared, shared + ctx.S);
-  ws.pends.push_back(Pend{item, static_cast<std::uint32_t>(ws.misses.size()),
-                          pid, variant, flags, slot, off});
-  ws.misses.push_back(DeliverMiss{lane, returned});
-}
-
-void flush_pends(Ctx& ctx, WorkerState& ws, std::uint32_t w) {
-  if (ws.pends.empty()) return;
-  ws.cur_parent_enc = nullptr;  // pended parents: not the assembled one
-  ctx.arena->resolve_delivers(ws.misses, ws.miss_lanes);
-  for (std::size_t i = 0; i < ws.misses.size(); ++i) {
-    ws.deliver_cache.insert_or_get(
-        memo_key(ws.misses[i].lane, ws.misses[i].returned),
-        ws.miss_lanes[i]);
-  }
-  // finalize_child may push into pend_shared-free structures only; the
-  // pend list itself is fixed now, so iterate by index over a swap.
-  std::vector<Pend> pends;
-  pends.swap(ws.pends);
-  for (const Pend& p : pends) {
-    finalize_child(ctx, ws, w, p.item, p.pid, p.variant, p.flags, p.slot,
-                   ws.pend_shared.data() + p.shared_off,
-                   ws.miss_lanes[p.miss_idx], false);
-  }
-  ws.pends.clear();
-  ws.misses.clear();
-  ws.pend_shared.clear();
+  finalize_child(ctx, ws, w, item, pid, variant, flags, slot, shared, next,
+                 false);
 }
 
 [[nodiscard]] std::uint32_t resolve_crash_cached(Ctx& ctx, WorkerState& ws,
@@ -966,7 +754,6 @@ void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   std::uint64_t* scratch = ws.shared_scratch.data();
 
   assemble_enc(ctx, item, ws.parent_enc);
-  ws.cur_parent_enc = &ws.parent_enc;
   if (ctx.sym) {
     canonical_slots(ws.parent_enc, ws.slot_of);
     ws.parent_block_hash.resize(ctx.n);
@@ -1163,7 +950,7 @@ bool drain_rings(Ctx& ctx, WorkerState& ws, std::uint32_t w) {
 
 void expand_phase(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                   runtime::BudgetMeter& meter) {
-  std::size_t since_flush = 0;
+  std::size_t since_drain = 0;
   for (std::uint32_t s = w; s < ctx.num_shards; s += ctx.workers) {
     ShardState& sh = ctx.shards[s];
     for (std::size_t off = 0; off + ctx.stride <= sh.wave.size();
@@ -1174,14 +961,12 @@ void expand_phase(Ctx& ctx, WorkerState& ws, std::uint32_t w,
         break;
       }
       expand_item(ctx, ws, w, sh.wave.data() + off);
-      if (++since_flush >= kExpandBlock) {
-        flush_pends(ctx, ws, w);
+      if (++since_drain >= kExpandBlock) {
         (void)drain_rings(ctx, ws, w);
-        since_flush = 0;
+        since_drain = 0;
       }
     }
   }
-  flush_pends(ctx, ws, w);
 }
 
 // ---------------------------------------------------------------------------
@@ -1949,7 +1734,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   }
   ctx.direct = !ctx.spill_enabled;
 
-  LaneArena arena(factory, options.batch_lanes);
+  LaneArena arena(factory);
   ctx.arena = &arena;
   ctx.shards = std::vector<ShardState>(ctx.num_shards);
   const std::size_t per_shard_hint = std::max<std::size_t>(
@@ -2065,9 +1850,9 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   result.peak_bytes = std::max(ctx.peak_bytes, census_bytes(ctx));
 
   out.stats.waves = ctx.waves;
+  out.stats.workers = ctx.workers;
   out.stats.memo_hits += arena.memo_hits();
-  out.stats.batch_sweeps = arena.batch_sweeps();
-  out.stats.batched_lanes = arena.batched_lanes();
+  out.stats.batched_lanes = arena.stepped_lanes();
   out.stats.arena_lanes = arena.lanes();
   return out;
 }

@@ -13,13 +13,11 @@
 //     Every fingerprint is tested for novelty by exactly one owner, so
 //     the visit-once invariant of the sequential search is preserved.
 //
-//   * BATCHED LANE STEPPING.  Process states are hash-consed into a lane
-//     arena (a machine's encoded block determines its behaviour — the
-//     StepMachine contract), so stepping is memoized per (lane, returned
-//     value) transition.  Memo misses of a wave are gathered into one
-//     proto::StatePool and stepped with a single batch_deliver sweep per
-//     block (one indirect call), falling back to per-machine scalar
-//     stepping when the program has no generated kernels.
+//   * MEMOIZED LANE STEPPING.  Process states are hash-consed into a
+//     lane arena (a machine's encoded block determines its behaviour —
+//     the StepMachine contract), so stepping is memoized per (lane,
+//     returned value) transition.  A memo miss clones the interned
+//     machine and steps the copy once; most transitions are memo hits.
 //
 //   * DISK-SPILLED CENSUSES.  When the in-memory census exceeds a
 //     watermark, each worker sorts its shard's (fingerprint, parent_fp,
@@ -86,20 +84,21 @@ struct FrontierExploreOptions {
   /// In-memory watermark over the spillable census structures
   /// (fingerprint tables + witness records).  0 = never spill.
   std::uint64_t mem_limit_bytes = 0;
-  /// Lanes per staging StatePool block (the batch_deliver sweep width).
-  std::uint32_t batch_lanes = 1024;
 };
 
 /// Counters specific to the frontier engine, reported next to the
 /// ExploreResult census by the CLI/bench front ends.
 struct FrontierStats {
   std::uint64_t waves = 0;             ///< BFS levels expanded
+  std::uint64_t workers = 0;           ///< worker threads the run used
   std::uint64_t forwarded = 0;         ///< cross-shard handoffs
   std::uint64_t spill_runs = 0;        ///< sorted runs written
   std::uint64_t spilled_records = 0;   ///< records in those runs
   std::uint64_t spill_bytes = 0;       ///< bytes written to spill_dir
-  std::uint64_t batch_sweeps = 0;      ///< batch_deliver indirect calls
-  std::uint64_t batched_lanes = 0;     ///< lanes stepped by those calls
+  /// Lanes stepped on a deliver-memo miss; the memo answers the rest.
+  /// The historical name stays because perfbench's batched_lane_share
+  /// reads it as the miss share.
+  std::uint64_t batched_lanes = 0;
   std::uint64_t memo_hits = 0;         ///< transitions answered by memo
   std::uint64_t arena_lanes = 0;       ///< distinct hash-consed lanes
 
@@ -113,10 +112,7 @@ struct FrontierExploreResult {
 };
 
 /// Explores the full state graph of `SimWorld(config, factory, inputs)`
-/// breadth-first.  The factory reference must outlive the call; the
-/// engine detects IR-backed factories (IrMachineFactory /
-/// GenMachineFactory) to unlock the batched generated path and falls
-/// back to scalar StepMachine stepping for anything else.
+/// breadth-first.  The factory reference must outlive the call.
 [[nodiscard]] FrontierExploreResult frontier_explore(
     const SimConfig& config, const MachineFactory& factory,
     const std::vector<std::uint64_t>& inputs,

@@ -79,6 +79,13 @@ std::uint64_t Cli::get_uint(const std::string& name,
   return parse_number<std::uint64_t>(name, *v, "a non-negative whole number");
 }
 
+std::uint32_t Cli::get_u32(const std::string& name,
+                           std::uint32_t fallback) const {
+  const auto v = get(name);
+  if (!v || v->empty()) return fallback;
+  return parse_number<std::uint32_t>(name, *v, "a non-negative whole number");
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;

@@ -28,6 +28,10 @@ class Cli {
                                      std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t fallback) const;
+  /// get_uint for 32-bit fields: a value above 2^32 - 1 throws instead
+  /// of wrapping.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name,
+                                      std::uint32_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

@@ -39,7 +39,7 @@ class Cache {
  public:
   /// Bumped whenever the entry schema changes; mismatched entries are
   /// misses and gc() fodder, never parse attempts.
-  static constexpr std::uint64_t kFormatVersion = 1;
+  static constexpr std::uint64_t kFormatVersion = 2;
 
   /// Opens (creating if needed) the store at `dir`.  Throws
   /// std::runtime_error when the directory cannot be created.

@@ -105,11 +105,11 @@ std::string Report::to_json() const {
   if (frontier) {
     w.begin_object();
     w.kv("waves", frontier->waves);
+    w.kv("workers", frontier->workers);
     w.kv("forwarded", frontier->forwarded);
     w.kv("spill_runs", frontier->spill_runs);
     w.kv("spilled_records", frontier->spilled_records);
     w.kv("spill_bytes", frontier->spill_bytes);
-    w.kv("batch_sweeps", frontier->batch_sweeps);
     w.kv("batched_lanes", frontier->batched_lanes);
     w.kv("memo_hits", frontier->memo_hits);
     w.kv("arena_lanes", frontier->arena_lanes);
@@ -178,11 +178,11 @@ Report Report::from_json(const util::JsonValue& doc) {
   if (const auto& f = doc.at("frontier"); !f.is_null()) {
     sched::FrontierStats stats;
     stats.waves = f.at("waves").as_u64();
+    stats.workers = f.at("workers").as_u64();
     stats.forwarded = f.at("forwarded").as_u64();
     stats.spill_runs = f.at("spill_runs").as_u64();
     stats.spilled_records = f.at("spilled_records").as_u64();
     stats.spill_bytes = f.at("spill_bytes").as_u64();
-    stats.batch_sweeps = f.at("batch_sweeps").as_u64();
     stats.batched_lanes = f.at("batched_lanes").as_u64();
     stats.memo_hits = f.at("memo_hits").as_u64();
     stats.arena_lanes = f.at("arena_lanes").as_u64();

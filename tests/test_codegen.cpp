@@ -12,9 +12,10 @@
 //     values) from the generated machine equals the interpreter's, under
 //     the sequential AND the frontier explorer, reductions on and off;
 //   * a step-level lockstep property test replays 10k+ seeded random
-//     schedules simultaneously on a generated StatePool and on an
-//     IrMachine oracle vector, asserting equal encoded states after
-//     every single step (divergence surfaces steps, not censuses, late);
+//     schedules simultaneously on generated machines (the ones the
+//     explorers step) and on IrMachine oracles, asserting equal encoded
+//     states after every single step (divergence surfaces steps, not
+//     censuses, late);
 //   * shrunk violation witnesses found on the interpreter strict-replay
 //     on the generated path with per-step encoding equality;
 //   * the stale-pre-size regression: ExploreResult::table_grows pins the
@@ -36,7 +37,6 @@
 #include "proto/fingerprint.hpp"
 #include "proto/genapi.hpp"
 #include "proto/machine.hpp"
-#include "proto/pool.hpp"
 #include "proto/registry.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
@@ -250,8 +250,8 @@ TEST(Codegen, FullCensusMatchesOracleParallel) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Step-level lockstep: 10k+ seeded random schedules on the batched
-//    StatePool vs. an IrMachine oracle vector, equal encodes every step.
+// 3. Step-level lockstep: 10k+ seeded random schedules on generated
+//    machines vs. IrMachine oracles, equal encodes every step.
 // ---------------------------------------------------------------------------
 
 struct OpKey {
@@ -289,11 +289,15 @@ TEST(Codegen, PoolLockstepTenThousandSeededSchedules) {
     if (!info.simulable) continue;
     SCOPED_TRACE(info.name);
     const auto program = proto::build_program(info.name);
+    const auto factory = proto::machine_factory(info.name);
+    const auto* generated =
+        dynamic_cast<const proto::gen::GenMachineFactory*>(factory.get());
+    ASSERT_NE(generated, nullptr) << info.name;
 
     for (std::size_t round = 0; round < kRounds; ++round) {
-      proto::StatePool pool(program, kLanes);
-      ASSERT_TRUE(pool.generated()) << info.name;
+      std::vector<std::unique_ptr<sched::StepMachine>> machines;
       std::vector<proto::IrMachine> oracle;
+      machines.reserve(kLanes);
       oracle.reserve(kLanes);
       const std::uint64_t seed =
           util::mix64(0x5eedull ^ (round << 8) ^
@@ -301,83 +305,47 @@ TEST(Codegen, PoolLockstepTenThousandSeededSchedules) {
       for (std::size_t lane = 0; lane < kLanes; ++lane) {
         const auto pid = static_cast<objects::ProcessId>(lane % 4);
         const std::uint64_t input = 1 + (util::mix64(seed ^ lane) % 3);
-        ASSERT_EQ(pool.add(pid, input), lane);
+        machines.push_back(generated->make(pid, input));
         oracle.emplace_back(program, pid, input);
         ++schedules;
       }
 
-      std::vector<std::uint64_t> returned(kLanes, 0);
       for (std::size_t step = 0; step < kMaxSteps; ++step) {
         // Per-step equality for every lane: done, decision, pending op
         // and the full encoded state.
         bool all_done = true;
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          ASSERT_EQ(pool.done(lane), oracle[lane].done())
+          const sched::StepMachine& gen = *machines[lane];
+          ASSERT_EQ(gen.done(), oracle[lane].done())
               << "round " << round << " step " << step << " lane " << lane;
           if (oracle[lane].done()) {
-            ASSERT_EQ(pool.decision(lane), oracle[lane].decision())
+            ASSERT_EQ(gen.decision(), oracle[lane].decision())
                 << "round " << round << " step " << step << " lane " << lane;
           } else {
             all_done = false;
-            ASSERT_EQ(key_of(pool.pending(lane)),
-                      key_of(oracle[lane].next_op()))
+            ASSERT_EQ(key_of(gen.next_op()), key_of(oracle[lane].next_op()))
                 << "round " << round << " step " << step << " lane " << lane;
           }
-          std::vector<std::uint64_t> pool_enc;
+          std::vector<std::uint64_t> gen_enc;
           std::vector<std::uint64_t> oracle_enc;
-          pool.encode(lane, pool_enc);
+          gen.encode(gen_enc);
           oracle[lane].encode(oracle_enc);
-          ASSERT_EQ(pool_enc, oracle_enc)
+          ASSERT_EQ(gen_enc, oracle_enc)
               << "round " << round << " step " << step << " lane " << lane;
         }
         if (all_done) break;
 
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          returned[lane] =
-              domain_value(util::mix64(seed ^ (step << 20) ^ (lane << 8)));
-        }
-        pool.deliver_all(returned.data());
-        for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          if (!oracle[lane].done()) {
-            oracle[lane].deliver(model::Value::of(returned[lane]));
-          }
+          if (oracle[lane].done()) continue;
+          const auto returned = model::Value::of(
+              domain_value(util::mix64(seed ^ (step << 20) ^ (lane << 8))));
+          machines[lane]->deliver(returned);
+          oracle[lane].deliver(returned);
         }
       }
     }
   }
   EXPECT_GE(schedules, 10'000u);
-}
-
-/// The oracle fallback pool (off-grid parameterization) must behave
-/// identically to scalar interpreters too — same harness, fewer rounds.
-TEST(Codegen, PoolInterpreterFallbackLockstep) {
-  const auto program = proto::build_program("f-plus-one", {{"k", 7}});
-  proto::StatePool pool(program, 8);
-  ASSERT_FALSE(pool.generated());
-  std::vector<proto::IrMachine> oracle;
-  for (std::size_t lane = 0; lane < 8; ++lane) {
-    pool.add(static_cast<objects::ProcessId>(lane), 1 + lane % 2);
-    oracle.emplace_back(program, static_cast<objects::ProcessId>(lane),
-                        1 + lane % 2);
-  }
-  std::vector<std::uint64_t> returned(8, 0);
-  for (std::size_t step = 0; step < 32; ++step) {
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      returned[lane] = domain_value(util::mix64(step ^ (lane << 8)));
-      ASSERT_EQ(pool.done(lane), oracle[lane].done());
-      std::vector<std::uint64_t> a;
-      std::vector<std::uint64_t> b;
-      pool.encode(lane, a);
-      oracle[lane].encode(b);
-      ASSERT_EQ(a, b) << "step " << step << " lane " << lane;
-    }
-    pool.deliver_all(returned.data());
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      if (!oracle[lane].done()) {
-        oracle[lane].deliver(model::Value::of(returned[lane]));
-      }
-    }
-  }
 }
 
 /// Scalar crash lockstep: generated machines must reproduce the
@@ -534,8 +502,8 @@ TEST(Codegen, StalePreSizeRehashesExactlyAsPredictedAndExactHintDoesNot) {
   EXPECT_GT(stale.table_grows, 0u)
       << "census too small to force a rehash — grow the instance";
 
-  // Exact hint: the batched-census path (pools size columns the same
-  // way) must not rehash at all.
+  // Exact hint: the table is sized for the whole census and must not
+  // rehash at all.
   options.expected_states = stale.states_visited;
   const auto exact = sched::explore(world, options);
   ASSERT_TRUE(exact.complete);

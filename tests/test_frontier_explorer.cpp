@@ -1,9 +1,9 @@
-// Differential-testing harness for the batched owner-computes frontier
-// explorer (sched/frontier_explorer.hpp), the parallel engine: the
-// frontier census must be BIT-EQUAL to the sequential oracle's on every
-// cell of two grids — the legacy-machine differential grid (the scalar
-// StepMachine arena path) and the simulable-registry × fault-kind ×
-// crash-budget grid (the IR/generated batch path) — with symmetry
+// Differential-testing harness for the owner-computes frontier explorer
+// (sched/frontier_explorer.hpp), the parallel engine: the frontier
+// census must be BIT-EQUAL to the sequential oracle's on every cell of
+// two grids — the legacy-machine differential grid (hand-written
+// StepMachines) and the simulable-registry × fault-kind × crash-budget
+// grid (generated machines) — with symmetry
 // reduction on and off, under forced spilling, and at any worker and
 // shard count down to one of each.  Witnesses must strictly replay,
 // including witnesses reconstructed out of spilled runs.  Also covers
@@ -198,7 +198,7 @@ TEST(ParallelDifferential, TerminalInitialState) {
 
 // ---------------------------------------------------------------------------
 // Registry grid: every simulable protocol under every per-operation
-// fault kind and crash budget 0/1 — the IR/generated batch path.
+// fault kind and crash budget 0/1 — the generated machines.
 // ---------------------------------------------------------------------------
 
 TEST(FrontierDifferential, RegistryGridWithCrashBudgets) {
@@ -337,10 +337,9 @@ TEST(FrontierExplorer, NonterminationWitnessRevisitsState) {
   expect_witness_reproduces(world, *fr.explore.violation, "retry-silent");
 }
 
-TEST(FrontierExplorer, StatsReflectBatchedStepping) {
-  // The generated path must actually batch: at least one batch_deliver
-  // sweep, lanes hash-consed, memoization hits on revisited transitions,
-  // and a nonzero peak-memory census.
+TEST(FrontierExplorer, StatsReflectMemoizedStepping) {
+  // Lanes hash-consed, machines stepped on memo misses, memoization hits
+  // on revisited transitions, and a nonzero peak-memory census.
   const auto factory = proto::machine_factory("staged");
   sched::SimConfig config;
   config.num_objects = factory->objects_used();
@@ -354,7 +353,6 @@ TEST(FrontierExplorer, StatsReflectBatchedStepping) {
                        frontier_options(opts, 4));
   EXPECT_TRUE(fr.explore.complete);
   EXPECT_GT(fr.stats.waves, 0u);
-  EXPECT_GT(fr.stats.batch_sweeps, 0u);
   EXPECT_GT(fr.stats.batched_lanes, 0u);
   EXPECT_GT(fr.stats.memo_hits, 0u);
   EXPECT_GT(fr.stats.arena_lanes, 0u);

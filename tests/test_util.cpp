@@ -305,6 +305,25 @@ TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
   }
 }
 
+TEST(Cli, ThirtyTwoBitFlagsRejectWiderValues) {
+  // 4294967298 = 2^32 + 2 once narrowed to 2 and ran a two-process job.
+  const char* argv[] = {"prog", "--n=4294967295", "--t=4294967296",
+                        "--threads=4294967298", "--crash-budget=-1"};
+  const Cli cli(5, argv);
+  EXPECT_EQ(cli.get_u32("n", 0), 4294967295u);
+  EXPECT_EQ(cli.get_u32("absent", 7), 7u);
+  for (const char* flag : {"t", "threads", "crash-budget"}) {
+    try {
+      (void)cli.get_u32(flag, 0);
+      ADD_FAILURE() << "accepted --" << flag;
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 // --- spin barrier --------------------------------------------------------
 
 TEST(SpinBarrier, SynchronizesAndReuses) {

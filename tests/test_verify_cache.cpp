@@ -111,7 +111,6 @@ TEST(JobSpec, ExecHintsAreNotFingerprinted) {
   verify::JobSpec tuned = base;
   tuned.threads = 16;
   tuned.shard_count = 8;
-  tuned.batch_lanes = 64;
   tuned.spill_dir = "/tmp/elsewhere";
   tuned.mem_limit_bytes = 1 << 20;
   tuned.expected_states = 12345;

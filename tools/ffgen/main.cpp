@@ -6,10 +6,7 @@
 // straight-line StepMachine class: state transitions are gotos between
 // op labels, expressions are folded into plain uint64 C++ expressions,
 // and the pause protocol (pc_, dst local, resume at pc+1) mirrors
-// IrMachine exactly so encode() layouts are bit-identical.  Each
-// emitted translation unit also carries structure-of-arrays batch
-// kernels (init_lane / batch_deliver over proto::gen::LaneView) so a
-// StatePool can step many simulator states with one indirect call.
+// IrMachine exactly so encode() layouts are bit-identical.
 //
 // Every output file is stamped with
 //     // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
@@ -259,31 +256,13 @@ std::string emit_machine(const Program& p, const std::string& cls,
     o << "  }\n";
   }
 
-  // ---- batch-kernel statics ----
+  // ---- the GenEntry constructor ----
   o << "\n  static std::unique_ptr<sched::StepMachine> make(\n"
        "      objects::ProcessId pid, std::uint64_t input) {\n"
     << "    return std::make_unique<" << cls << ">(pid, input);\n"
     << "  }\n\n";
-  o << "  static void init_lane(const LaneView& v, std::size_t lane,\n"
-       "                        objects::ProcessId pid, std::uint64_t input) "
-       "{\n"
-    << "    const " << cls << " m(pid, input);\n"
-    << "    m.store(v, lane);\n"
-    << "  }\n\n";
-  o << "  static void batch_deliver(const LaneView& v, std::size_t count,\n"
-       "                            const std::uint64_t* returned) {\n"
-    << "    for (std::size_t lane = 0; lane < count; ++lane) {\n"
-    << "      if (v.status[lane] != kLanePaused) continue;\n"
-    << "      " << cls << " m{LoadTag{}};\n"
-    << "      m.load(v, lane);\n"
-    << "      m.deliver_raw(returned[lane]);\n"
-    << "      m.store(v, lane);\n"
-    << "    }\n"
-    << "  }\n\n";
 
   o << " private:\n";
-  o << "  struct LoadTag {};\n";
-  o << "  explicit " << cls << "(LoadTag /*tag*/) {}\n\n";
 
   // deliver_raw: resume map from paused pc to dst local + next op.
   o << "  void deliver_raw(std::uint64_t v) {\n";
@@ -297,27 +276,6 @@ std::string emit_machine(const Program& p, const std::string& cls,
   o << "      default:\n"
        "        return;\n"
        "    }\n"
-       "  }\n\n";
-
-  // load/store: the SoA lane protocol (column-major locals).
-  o << "  void load(const LaneView& v, std::size_t lane) {\n";
-  for (std::size_t i = 0; i < num_locals; ++i) {
-    o << "    l" << i << "_ = v.locals[" << i << "u * v.stride + lane];\n";
-  }
-  if (uses_pid) o << "    pid_ = v.pid[lane];\n";
-  o << "    pc_ = v.pc[lane];\n";
-  o << "  }\n\n";
-  o << "  void store(const LaneView& v, std::size_t lane) const {\n";
-  for (std::size_t i = 0; i < num_locals; ++i) {
-    o << "    v.locals[" << i << "u * v.stride + lane] = l" << i << "_;\n";
-  }
-  o << "    v.pc[lane] = pc_;\n"
-       "    v.status[lane] = halted_ ? kLaneHalted : kLanePaused;\n"
-       "    v.decision[lane] = decision_;\n"
-       "    v.op_type[lane] = static_cast<std::uint8_t>(pending_.type);\n"
-       "    v.op_object[lane] = pending_.object;\n"
-       "    v.op_expected[lane] = pending_.expected.raw();\n"
-       "    v.op_desired[lane] = pending_.desired.raw();\n"
        "  }\n\n";
 
   // advance: the straight-line program body.
@@ -516,8 +474,7 @@ std::string emit_group_body(const GridGroup& g) {
     << "(std::size_t& count) {\n";
   o << "  static const GenEntry kEntries[] = {\n";
   for (const auto& [fp, cls] : entries) {
-    o << "      {0x" << hex16(fp) << "ull, &" << cls << "::make, &" << cls
-      << "::init_lane, &" << cls << "::batch_deliver},\n";
+    o << "      {0x" << hex16(fp) << "ull, &" << cls << "::make},\n";
   }
   o << "  };\n"
        "  count = sizeof(kEntries) / sizeof(kEntries[0]);\n"
